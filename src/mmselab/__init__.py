@@ -29,11 +29,9 @@ from .sources import (
     gaussian_mixture,
     gaussian_pair_amplitude,
     magnitude_law,
-    moment,
     parse_amplitude,
     parse_source,
     rademacher,
-    sample,
     standardize,
     uniform,
     unit_amplitude,
@@ -42,6 +40,7 @@ from .scalar_channel import (
     ScalarChannel,
     conditional_mean,
     d4_at_zero_from_moments,
+    divergence_derivatives_from_moments,
     divergence_derivatives_at_zero,
     gaussian_mmse,
     mmse,
@@ -50,14 +49,11 @@ from .scalar_channel import (
     output_density,
 )
 from .tone_channel import (
-    DerivativeNoise,
-    DivergenceCurve,
     RateFit,
     ToneModel,
     cmmse_asymptotic,
     cmmse_exact,
     convergence_rate_fit,
-    divergence_curve,
     dn_divergence,
     gaussian_cmmse,
     gaussian_mmse_tone,

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class RunConfig:
     dt_levels: int = 3
     out: str | None = None
     fmt: str = "csv"
-    workers: int = field(default=1, compare=True)
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
@@ -198,11 +198,10 @@ def cmd_derivatives(config: RunConfig) -> list:
     src = parse_source(config.source)
     cfg = _quad_cfg(min(config.tol, 1e-12))
     estimates = scalar_channel.divergence_derivatives_at_zero(src, config.orders, cfg)
+    exact = scalar_channel.divergence_derivatives_from_moments(src)
     rows = []
     for est in estimates:
-        predicted = (
-            scalar_channel.d4_at_zero_from_moments(src) if est.order == 4 else 0.0
-        )
+        predicted = exact[est.order - 1]
         rows.append(
             {
                 "order": est.order,

@@ -134,6 +134,13 @@ class DerivativeEstimate:
             raise ValueError("error_estimate must be nonnegative")
 
 
+def _check_snr(q: float) -> float:
+    q = float(q)
+    if not (math.isfinite(q) and q >= 0.0):
+        raise ValueError(f"snr must be finite and >= 0, got {q!r}")
+    return q
+
+
 def _resolve_domain(domain: Domain, tail_width: float) -> tuple:
     if isinstance(domain, RadialHalfLine):
         return 0.0, domain.center + tail_width * domain.width

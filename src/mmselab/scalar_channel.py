@@ -22,7 +22,8 @@ demonstrably incomplete when EX^3 != 0 (the measured q^2 coefficient of the
 mmse is 1 - (EX^3)^2/2, which feeds a nonzero third derivative of D).  They
 are kept in the stated form deliberately; the verification suite measures
 and reports the discrepancy for skewed laws instead of silently patching it
-(README, "Known limits of the moment formulas", gives the complete terms).
+(README, "Known limits of the moment formulas", gives the complete terms;
+``divergence_derivatives_from_moments`` returns the complete derivatives).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .numerics import (
     DIVERGENCE_QUADRATURE,
     DerivativeEstimate,
     QuadratureConfig,
+    _check_snr,
     derivative_at_zero,
     integrate,
     kl_integrand_from_logs,
@@ -51,18 +53,12 @@ __all__ = [
     "gaussian_mmse",
     "mmse_taylor3",
     "d4_at_zero_from_moments",
+    "divergence_derivatives_from_moments",
     "nongaussianity",
     "divergence_derivatives_at_zero",
 ]
 
 _P_FLOOR = 1e-300
-
-
-def _check_snr(q: float) -> float:
-    q = float(q)
-    if not (math.isfinite(q) and q >= 0.0):
-        raise ValueError(f"snr must be finite and >= 0, got {q!r}")
-    return q
 
 
 @dataclass(frozen=True)
@@ -147,6 +143,17 @@ def d4_at_zero_from_moments(src: ScalarSource) -> float:
     m3 = src.moment(3)
     m4 = src.moment(4)
     return 0.5 * (m4 * m4 - 6.0 * m4 - 2.0 * m3 * m3 + 9.0)
+
+
+def divergence_derivatives_from_moments(src: ScalarSource) -> tuple:
+    """Exact (D'(0), D''(0), D'''(0), D''''(0)) for any law, skewed or not.
+
+    The complete values (Guo, Wu, Shamai, Verdu 2011): 0, 0, (EX^3)^2 / 2
+    and (1/2) [ (EX^4)^2 - 6 EX^4 - 12 (EX^3)^2 + 9 ].
+    """
+    m3 = src.moment(3)
+    m4 = src.moment(4)
+    return 0.0, 0.0, 0.5 * m3 * m3, 0.5 * (m4 * m4 - 6.0 * m4 - 12.0 * m3 * m3 + 9.0)
 
 
 def nongaussianity(ch: ScalarChannel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:

@@ -34,8 +34,6 @@ __all__ = [
     "from_atoms",
     "custom_source",
     "standardize",
-    "moment",
-    "sample",
     "builtin_sources",
     "parse_source",
     "unit_amplitude",
@@ -392,7 +390,11 @@ def standardize(src: ScalarSource) -> ScalarSource:
     Idempotent: already-standard laws come back unchanged.
     """
     m1 = src._moments[0]
-    var = src._moments[1] - m1 * m1
+    if src.kind == "atoms":
+        # two passes: EX^2 - (EX)^2 cancels for nearly coincident atoms
+        var = sum(p * (v - m1) ** 2 for v, p in src.atoms)
+    else:
+        var = src._moments[1] - m1 * m1
     if var <= _STD_TOL:
         raise ZeroVariance(f"law {src.name!r} has vanishing variance {var:.3e}")
     if abs(m1) <= _STD_TOL and abs(var - 1.0) <= _STD_TOL:
@@ -435,14 +437,6 @@ def standardize(src: ScalarSource) -> ScalarSource:
             sampler=sampler,
         )
     raise ValueError(f"unknown source kind {src.kind!r}")
-
-
-def moment(src: ScalarSource, k: int) -> float:
-    return src.moment(k)
-
-
-def sample(src: ScalarSource, rng: np.random.Generator, n: int) -> np.ndarray:
-    return src.sample(rng, n)
 
 
 def builtin_sources() -> tuple:

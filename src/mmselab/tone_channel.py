@@ -3,24 +3,26 @@
 The signal is a normalized sum of N orthogonal tones with i.i.d. amplitudes
 (E a^2 = 1) and independent uniform phases, observed through white Gaussian
 noise at total snr q.  In the Fourier coefficient domain each tone
-contributes an independent two-dimensional channel at per-tone snr q/N with
-input on a circle of radius |a|, so
+contributes an independent two-dimensional channel at per-tone snr x = q/N
+with input on a circle of radius |a|, so
 
     dn_divergence(N, q) = N * D(q/N)
 
 where D is the single-tone divergence from the matched Gaussian
-N(0, (1+q/2) I_2).  The output law is rotation invariant with radial
-density E_a[ r exp(-(r^2 + q a^2)/2) I_0(r a sqrt(q)) ], which reduces the
-divergence to a one-dimensional radial integral (Rician vs Rayleigh).
-
-Exact error formulas in terms of the divergence:
+N(0, (1+x/2) I_2).  The output law is rotation invariant with radial
+density f(r) = E_a[ r exp(-(r^2 + x a^2)/2) I_0(r a sqrt(x)) ] (Rician),
+which reduces every single-tone quantity to a one-dimensional radial
+integral.  The errors are
 
     cmmse = (2N/q) ln(1 + q/(2N)) - (2/q) N D(q/N)
-    mmse  = 1/(1 + q/(2N))        - 2 D'(q/N)
+    mmse  = 1 - int f(r) E[a I_1/I_0 (r a sqrt(x)) | r]^2 dr
 
-with the Gaussian-amplitude closed forms as the D == 0 case, and the
-large-N expansions 1 - [1/4 + d2] q/N and 1 - [1/2 + 2 d2] q/N where d2 is
-the second derivative of the single-tone divergence at zero snr.
+where the mmse integrand is the squared posterior mean of the tone's
+coefficient pair.  By the I-MMSE relation (Guo, Shamai, Verdu 2005) the
+mmse equals 1/(1 + q/(2N)) - 2 D'(q/N), so both errors reduce to the
+Gaussian-amplitude closed forms when D == 0.  The large-N expansions are
+1 - [1/4 + d2] q/N and 1 - [1/2 + 2 d2] q/N where d2 is the second
+derivative of the single-tone divergence at zero snr.
 """
 
 from __future__ import annotations
@@ -33,21 +35,17 @@ from scipy import special as _sp
 
 from .numerics import (
     DIVERGENCE_QUADRATURE,
-    NumericsError,
     QuadratureConfig,
     RadialHalfLine,
-    ValueWithError,
+    _check_snr,
     integrate,
     kl_integrand_from_logs,
 )
 from .sources import AmplitudeLaw, unit_amplitude
 
 __all__ = [
-    "DerivativeNoise",
     "ToneModel",
-    "DivergenceCurve",
     "tone_divergence",
-    "divergence_curve",
     "dn_divergence",
     "cmmse_exact",
     "mmse_exact",
@@ -60,77 +58,48 @@ __all__ = [
 ]
 
 
-class DerivativeNoise(NumericsError):
-    """Divergence-curve differentiation too noisy for the requested use."""
-
-
-def _check_snr(q: float) -> float:
-    q = float(q)
-    if not (math.isfinite(q) and q >= 0.0):
-        raise ValueError(f"snr must be finite and >= 0, got {q!r}")
-    return q
-
-
 @dataclass(frozen=True)
 class ToneModel:
-    """Tone count, total snr, amplitude law, frequencies and horizon.
+    """Tone count, total snr and amplitude law.
 
-    Frequencies are distinct positive integers k (circular frequencies
-    2 pi k / horizon); they guarantee orthogonality but never enter the
-    error formulas, which depend on N and q only.
+    The error formulas depend on N and q only: the tones' frequencies
+    guarantee orthogonality and never enter them.
     """
 
     n_tones: int
     q: float
     amplitude_law: AmplitudeLaw = unit_amplitude()
-    frequencies: tuple = ()
-    horizon: float = 2.0 * math.pi
 
     def __post_init__(self) -> None:
         if self.n_tones < 1:
             raise ValueError("n_tones must be >= 1")
         object.__setattr__(self, "q", _check_snr(self.q))
-        freqs = self.frequencies or tuple(range(1, self.n_tones + 1))
-        freqs = tuple(int(k) for k in freqs)
-        if len(freqs) != self.n_tones or len(set(freqs)) != self.n_tones or min(freqs) < 1:
-            raise ValueError("frequencies must be n_tones distinct positive integers")
-        object.__setattr__(self, "frequencies", freqs)
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
 
 
-@dataclass(frozen=True)
-class DivergenceCurve:
-    """Tabulated divergence values with quadrature error bounds."""
+def _radial_mixture(mags, sq: float, r: float) -> tuple:
+    """ln(f(r)/r) and the posterior weights of the magnitudes at radius r.
 
-    q: tuple
-    values: tuple
-    errors: tuple
-    source: str
-
-    def __post_init__(self) -> None:
-        qs = np.asarray(self.q, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if qs.size != vals.size or qs.size != len(self.errors):
-            raise ValueError("grid, values and errors must have equal length")
-        if np.any(np.diff(qs) <= 0):
-            raise ValueError("q grid must be strictly increasing")
-        if np.any(vals < 0):
-            raise ValueError("divergence values must be nonnegative")
-        at_zero = np.flatnonzero(qs == 0.0)
-        if at_zero.size and np.any(vals[at_zero] != 0.0):
-            raise ValueError("divergence at q = 0 must be exactly 0")
+    Each magnitude contributes p exp(-(r - a sq)^2 / 2) i0e(r a sq) to
+    f(r)/r (I0 enters exponentially scaled); the sum is taken in log form.
+    """
+    terms = [
+        math.log(p) - 0.5 * (r - a * sq) ** 2 + math.log(_sp.i0e(r * a * sq))
+        for a, p in mags
+    ]
+    m = max(terms)
+    scaled = [math.exp(t - m) for t in terms]
+    total = sum(scaled)
+    return m + math.log(total), [s / total for s in scaled]
 
 
-def _tone_divergence_with_error(
-    law: AmplitudeLaw, q: float, cfg: QuadratureConfig
-) -> ValueWithError:
+def tone_divergence(
+    law: AmplitudeLaw, q: float, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE
+) -> float:
+    """Single-tone divergence from the matched Gaussian at snr q."""
     q = _check_snr(q)
-    if q == 0.0:
-        return ValueWithError(0.0, 0.0)
-    if law.kind == "gaussian-pair":
+    if q == 0.0 or law.kind == "gaussian-pair":
         # Gaussian coefficient pair: the output law *is* the matched Gaussian.
-        return ValueWithError(0.0, 0.0)
+        return 0.0
 
     mags = law.magnitude_atoms()
     sq = math.sqrt(q)
@@ -138,62 +107,20 @@ def _tone_divergence_with_error(
     log_g_norm = -math.log(half_var)
 
     def integrand(r: float) -> float:
-        # radial densities in log form; I0 enters exponentially scaled
-        terms = [
-            math.log(p) - 0.5 * (r - a * sq) ** 2 + math.log(_sp.i0e(r * a * sq))
-            for a, p in mags
-        ]
-        m = max(terms)
         log_r = math.log(r)
-        log_p = log_r + m + math.log(sum(math.exp(t - m) for t in terms))
+        log_p = log_r + _radial_mixture(mags, sq, r)[0]
         log_g = log_r + log_g_norm - 0.5 * r * r / half_var
         return kl_integrand_from_logs(log_p, log_g)
 
     a_max = max(a for a, _ in mags)
     domain = RadialHalfLine(center=sq * a_max, width=math.sqrt(half_var))
-    return integrate(integrand, domain, cfg)
-
-
-def tone_divergence(
-    law: AmplitudeLaw, q: float, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE
-) -> float:
-    """Single-tone divergence from the matched Gaussian at snr q."""
-    return max(0.0, _tone_divergence_with_error(law, q, cfg).value)
-
-
-def divergence_curve(
-    law: AmplitudeLaw, q_values, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE
-) -> DivergenceCurve:
-    """Tabulate the single-tone divergence on a strictly increasing grid."""
-    results = [_tone_divergence_with_error(law, q, cfg) for q in q_values]
-    return DivergenceCurve(
-        q=tuple(float(q) for q in q_values),
-        values=tuple(max(0.0, r.value) for r in results),
-        errors=tuple(r.error for r in results),
-        source=law.name,
-    )
+    return max(0.0, integrate(integrand, domain, cfg).value)
 
 
 def dn_divergence(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
     """Total output divergence of the N-tone channel: N * D(q/N)."""
     n = model.n_tones
     return n * tone_divergence(model.amplitude_law, model.q / n, cfg)
-
-
-def _tone_dprime(
-    law: AmplitudeLaw, x: float, cfg: QuadratureConfig
-) -> tuple:
-    """(D'(x), error bound) by a five-point central stencil on a local curve."""
-    if law.kind == "gaussian-pair":
-        return 0.0, 0.0
-    h = x / 8.0
-    grid = (x - 2 * h, x - h, x + h, x + 2 * h)
-    curve = divergence_curve(law, grid, cfg)
-    d_m2, d_m1, d_p1, d_p2 = curve.values
-    e_m2, e_m1, e_p1, e_p2 = curve.errors
-    quotient = (d_m2 - 8.0 * d_m1 + 8.0 * d_p1 - d_p2) / (12.0 * h)
-    quotient_err = (e_m2 + 8.0 * e_m1 + 8.0 * e_p1 + e_p2) / (12.0 * h)
-    return quotient, quotient_err
 
 
 def cmmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
@@ -208,27 +135,34 @@ def cmmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE)
 def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
     """Non-causal error of the N-tone signal.
 
-    The divergence derivative d/dq [N D(q/N)] = D'(q/N) comes from a
-    five-point central difference on a locally tabulated divergence curve.
+    Every tone sees the same channel at per-tone snr x = q/N, so the error
+    is the single-tone one: 1 - int f(r) E[a I_1/I_0 (r a sqrt(x)) | r]^2 dr,
+    one radial integral of the squared posterior mean (the Gaussian pair
+    keeps its closed form 1/(1 + x/2)).
 
     Raises
     ------
-    DerivativeNoise
-        If the difference quotient's error bound exceeds 10% of the
-        divergence correction term it produces.
+    NonConvergence, NonFinite
+        From the radial quadrature, as in :func:`~mmselab.numerics.integrate`.
     """
-    q = model.q
-    if q == 0.0:
-        return 1.0
-    n = model.n_tones
-    quotient, quotient_err = _tone_dprime(model.amplitude_law, q / n, cfg)
-    correction = 2.0 * quotient
-    if quotient_err > 0.1 * abs(correction):
-        raise DerivativeNoise(
-            f"divergence derivative error {quotient_err:.3e} exceeds 10% of "
-            f"correction {correction:.3e} at q/N = {q / n:.6g}"
+    law = model.amplitude_law
+    x = model.q / model.n_tones
+    if x == 0.0 or law.kind == "gaussian-pair":
+        return 1.0 / (1.0 + 0.5 * x)
+
+    mags = law.magnitude_atoms()
+    sq = math.sqrt(x)
+
+    def integrand(r: float) -> float:
+        log_f, weights = _radial_mixture(mags, sq, r)
+        est = sum(
+            w * a * _sp.i1e(r * a * sq) / _sp.i0e(r * a * sq)
+            for w, (a, _) in zip(weights, mags)
         )
-    return 1.0 / (1.0 + q / (2.0 * n)) - correction
+        return r * math.exp(log_f) * est * est
+
+    a_max = max(a for a, _ in mags)
+    return 1.0 - integrate(integrand, RadialHalfLine(center=sq * a_max), cfg).value
 
 
 def gaussian_cmmse(n: int, q: float) -> float:

@@ -122,6 +122,22 @@ def test_derivatives_table():
         assert abs(row["value"]) <= 1e-5
 
 
+@pytest.mark.parametrize("source", ["expstd", "mix:0.3,-1.0,0.5,2.0,1.2"])
+def test_derivatives_reference_skewed_laws(source):
+    # the reference column holds the complete values, m3^2/2 at order 3
+    rows = cmd_derivatives(RunConfig(command="derivatives", source=source, tol=1e-12))
+    assert [row["order"] for row in rows] == [1, 2, 3, 4]
+    for row in rows:
+        assert row["abs_difference"] <= max(1e-4, 10 * row["error_estimate"]), row
+
+
+def test_scalar_nearly_coincident_atoms_exit_0(tmp_path):
+    spec = "atoms:-1.439808318436444,0.5498361070652901,-1.4081271420726433,0.4501638929347098"
+    code, out = run_cli(["scalar", "--source", spec, "--q-grid", "1"], tmp_path)
+    assert code == EXIT_OK
+    assert 0.0 < float(read_csv(out)[0]["mmse"]) < 0.5
+
+
 def test_tones_gaussian_exact_matches_closed_form(tmp_path):
     code, out = run_cli(
         [

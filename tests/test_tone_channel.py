@@ -6,12 +6,10 @@ import pytest
 from mmselab.numerics import DIVERGENCE_QUADRATURE, derivative_at_zero
 from mmselab.sources import gaussian_pair_amplitude, magnitude_law, unit_amplitude
 from mmselab.tone_channel import (
-    DivergenceCurve,
     ToneModel,
     cmmse_asymptotic,
     cmmse_exact,
     convergence_rate_fit,
-    divergence_curve,
     dn_divergence,
     gaussian_cmmse,
     gaussian_mmse_tone,
@@ -24,6 +22,9 @@ from mmselab.tone_channel import (
 # two-dimensional tensor-grid computation to 2e-18)
 TONE_DIV_1 = 0.001989589200950376
 
+# two magnitudes with E a^2 = 1, one of them small
+TWO_MAGNITUDES = magnitude_law([0.2, 2.2], [0.8, 0.2])
+
 
 def test_model_validation():
     with pytest.raises(ValueError):
@@ -31,21 +32,8 @@ def test_model_validation():
     with pytest.raises(ValueError):
         ToneModel(n_tones=2, q=-1.0)
     with pytest.raises(ValueError):
-        ToneModel(n_tones=2, q=1.0, frequencies=(1, 1))
-    model = ToneModel(n_tones=3, q=0.5)
-    assert model.frequencies == (1, 2, 3)
-
-
-def test_divergence_curve_validation():
-    with pytest.raises(ValueError):
-        DivergenceCurve(q=(0.2, 0.1), values=(0.0, 0.0), errors=(0.0, 0.0), source="x")
-    with pytest.raises(ValueError):
-        DivergenceCurve(q=(0.1, 0.2), values=(-1e-3, 0.0), errors=(0.0, 0.0), source="x")
-    with pytest.raises(ValueError):
-        DivergenceCurve(q=(0.0, 0.2), values=(1e-3, 0.0), errors=(0.0, 0.0), source="x")
-    curve = divergence_curve(unit_amplitude(), (0.5, 1.0, 2.0))
-    assert curve.values[1] == pytest.approx(TONE_DIV_1, abs=1e-14)
-    assert all(e >= 0 for e in curve.errors)
+        ToneModel(n_tones=2, q=math.inf)
+    assert ToneModel(n_tones=3, q=1).q == 1.0
 
 
 def test_tone_divergence_trivial_cases():
@@ -133,10 +121,31 @@ def test_mmse_exact_examples():
     model = ToneModel(n_tones=1, q=2.0, amplitude_law=gaussian_pair_amplitude())
     assert mmse_exact(model) == pytest.approx(0.5, rel=1e-12)
     assert mmse_exact(ToneModel(n_tones=2, q=0.0)) == 1.0
-    # frozen: 2/3 - 2 D'(1) with D'(1) from the five-point local curve
+    # the independent Rician radial integral of bench/reference.py
     val = mmse_exact(ToneModel(n_tones=1, q=1.0))
-    assert val == pytest.approx(0.6548515189122, abs=1e-10)
+    assert val == pytest.approx(0.6548511969369811, abs=1e-12)
     assert val < gaussian_mmse_tone(1, 1.0)
+
+
+def _richardson_dprime(law, x):
+    """D'(x) from five-point central stencils at h = x/8 and x/16, extrapolated."""
+
+    def stencil(h):
+        d = [tone_divergence(law, x + k * h) for k in (-2, -1, 1, 2)]
+        return (d[0] - 8.0 * d[1] + 8.0 * d[2] - d[3]) / (12.0 * h)
+
+    coarse, fine = stencil(x / 8.0), stencil(x / 16.0)
+    return fine + (fine - coarse) / 15.0
+
+
+@pytest.mark.parametrize("law", [unit_amplitude(), TWO_MAGNITUDES], ids=["unit", "two-mag"])
+@pytest.mark.parametrize("x", [0.25, 1.0, 4.0])
+def test_mmse_exact_matches_divergence_slope(law, x):
+    # I-MMSE: mmse = 1/(1 + x/2) - 2 D'(x) for one tone at snr x
+    mm = mmse_exact(ToneModel(n_tones=1, q=x, amplitude_law=law))
+    assert (1.0 / (1.0 + 0.5 * x) - mm) / 2.0 == pytest.approx(
+        _richardson_dprime(law, x), abs=1e-8
+    )
 
 
 def test_gaussian_closed_forms():
@@ -158,7 +167,7 @@ def test_asymptotic_formulas():
 
 
 def test_error_ordering_invariants():
-    for law in (unit_amplitude(), gaussian_pair_amplitude()):
+    for law in (unit_amplitude(), gaussian_pair_amplitude(), TWO_MAGNITUDES):
         for n in (1, 3):
             for q in (0.25, 1.0, 4.0):
                 model = ToneModel(n_tones=n, q=q, amplitude_law=law)
