@@ -24,7 +24,7 @@ import numpy as np
 
 from .numerics import NumericsError
 from .scalar_channel import ScalarChannel, conditional_mean
-from .sources import AmplitudeLaw, ScalarSource, unit_amplitude
+from .sources import AmplitudeLaw, ScalarSource
 
 __all__ = [
     "IllConditioned",
@@ -84,7 +84,6 @@ class KalmanSetup:
 class McConfig:
     sample_count: int = 10**6
     seed: int = 0
-    stratified: bool = False
 
     def __post_init__(self) -> None:
         if self.sample_count < 10**4:
@@ -172,21 +171,12 @@ def kalman_mmse(setup: KalmanSetup) -> float:
     return _riccati(setup)[1]
 
 
-def _stratified_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    from scipy.special import ndtri
-
-    u = (np.arange(n) + rng.uniform(size=n)) / n
-    w = ndtri(u)
-    rng.shuffle(w)
-    return w
-
-
 def mc_scalar_mmse(src: ScalarSource, q: float, cfg: McConfig) -> McEstimate:
     """Monte Carlo scalar-channel error over paired draws of (X, W)."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.sample_count
     x = src.sample(rng, n)
-    w = _stratified_normal(rng, n) if cfg.stratified else rng.standard_normal(n)
+    w = rng.standard_normal(n)
     y = w + math.sqrt(q) * x
     estimate = conditional_mean(ScalarChannel(src, q), y)
     sq_err = np.square(x - estimate)

@@ -92,11 +92,24 @@ def _domain_radius(src: ScalarSource, q: float, tail: float) -> float:
     return tail * math.sqrt(1.0 + q) + math.sqrt(q) * src.bulk_radius(tail)
 
 
-def _atom_peaks(src: ScalarSource, q: float):
-    if src.kind != "atoms":
-        return None
+def _panel_breakpoints(src: ScalarSource, q: float):
+    """Panel breakpoints around the sharp features of the output density.
+
+    An atom (a mixture component with sigma = 0) at v puts a unit-width
+    Gaussian bump at sqrt(q) v into the output density, and each end v of
+    a uniform law a unit-width step.  At high q these features are far
+    narrower than the domain, and a panel that merely ends at one can miss
+    it (a uniform law from q = 1e7 on, where the first Gauss-Kronrod rule
+    samples only the flat top and the tails); breakpoints at 0 and +-8
+    around each feature keep it inside two panels of width 8.  Other laws
+    get no breakpoints.
+    """
+    if src.kind == "uniform":
+        features = src.params
+    else:
+        features = [mu for _, mu, s in src.components if s == 0.0]
     sq = math.sqrt(q)
-    return [sq * v for v, _ in src.atoms]
+    return sorted({sq * v + d for v in features for d in (-8.0, 0.0, 8.0)}) or None
 
 
 def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -119,7 +132,7 @@ def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float
         return a * a / p
 
     radius = _domain_radius(src, q, cfg.tail_width)
-    est, _ = integrate(integrand, (-radius, radius), cfg, breakpoints=_atom_peaks(src, q))
+    est, _ = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
     return min(1.0, max(0.0, 1.0 - est))
 
 
@@ -182,7 +195,7 @@ def nongaussianity(ch: ScalarChannel, cfg: QuadratureConfig = DIVERGENCE_QUADRAT
         return kl_integrand_from_logs(math.log(p), log_g)
 
     radius = _domain_radius(src, q, cfg.tail_width)
-    est, _ = integrate(integrand, (-radius, radius), cfg, breakpoints=_atom_peaks(src, q))
+    est, _ = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
     return max(0.0, est)
 
 

@@ -7,7 +7,9 @@ kernels for the additive-noise channel Y = W + sqrt(q) X:
     output_density(y, q) = E_X[ phi(y - sqrt(q) X) ]
     cross_density(y, q)  = E_X[ X * phi(y - sqrt(q) X) ]
 
-with phi the standard normal density.  Closed forms are used for every
+with phi the standard normal density.  Discrete, Gaussian and Gaussian
+mixture laws are one ``mixture`` kind: components (w, mu, sigma) with
+sigma >= 0, where sigma = 0 is an atom.  Closed forms are used for every
 built-in kind; only ``custom`` laws fall back to per-point quadrature.
 """
 
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -74,38 +77,31 @@ def _ndtr_diff(v1, v2):
 class ScalarSource:
     """A scalar input law.
 
-    kind is one of ``atoms``, ``gaussian``, ``uniform``, ``exponential``,
-    ``mixture``, ``custom``.  Parameter fields by kind:
+    kind is one of ``mixture``, ``uniform``, ``exponential``, ``custom``.
+    Parameter fields by kind:
 
-    - atoms:       ``atoms`` = ((value, prob), ...)
-    - gaussian:    ``params`` = (mean, sigma)
+    - mixture:     ``components`` = ((weight, mean, sigma), ...) with
+      sigma >= 0; a component with sigma = 0 is an atom at its mean
     - uniform:     ``params`` = (lo, hi)
     - exponential: ``params`` = (loc, scale), law of loc + scale * Exp(1)
-    - mixture:     ``components`` = ((weight, mean, sigma), ...)
-    - custom:      ``pdf`` on ``support``; optional ``sampler(rng, n)``
+    - custom:      ``pdf`` on ``support``
     """
 
     kind: str
     name: str
-    atoms: tuple = ()
     params: tuple = ()
     components: tuple = ()
     pdf: Callable | None = None
     support: tuple = (-math.inf, math.inf)
-    sampler: Callable | None = None
     _moments: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind == "atoms":
-            probs = np.array([p for _, p in self.atoms])
-            if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-                raise ValueError("atom probabilities must be >= 0 and sum to 1")
         if self.kind == "mixture":
             w = np.array([c[0] for c in self.components])
             if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("mixture weights must be >= 0 and sum to 1")
-            if any(c[2] <= 0 for c in self.components):
-                raise ValueError("mixture sigmas must be positive")
+            if any(c[2] < 0 for c in self.components):
+                raise ValueError("mixture sigmas must be >= 0")
         if not self._moments:
             object.__setattr__(self, "_moments", self._raw_moments())
 
@@ -113,13 +109,13 @@ class ScalarSource:
 
     def _raw_moments(self) -> tuple:
         """(EX, EX^2, EX^3, EX^4) from closed forms (quadrature for custom)."""
-        if self.kind == "atoms":
-            v = np.array([x for x, _ in self.atoms])
-            p = np.array([w for _, w in self.atoms])
-            return tuple(float(np.dot(p, v**k)) for k in (1, 2, 3, 4))
-        if self.kind == "gaussian":
-            mu, s = self.params
-            return _gaussian_raw_moments(mu, s)
+        if self.kind == "mixture":
+            acc = [0.0] * 4
+            for w, mu, s in self.components:
+                g = _gaussian_raw_moments(mu, s)
+                for i in range(4):
+                    acc[i] += w * g[i]
+            return tuple(acc)
         if self.kind == "uniform":
             lo, hi = self.params
             # E X^k = (hi^{k+1} - lo^{k+1}) / ((k+1)(hi - lo))
@@ -136,13 +132,6 @@ class ScalarSource:
                     sum(math.comb(k, j) * loc ** (k - j) * s**j * e[j] for j in range(k + 1))
                 )
             return tuple(out)
-        if self.kind == "mixture":
-            acc = [0.0] * 4
-            for w, mu, s in self.components:
-                g = _gaussian_raw_moments(mu, s)
-                for i in range(4):
-                    acc[i] += w * g[i]
-            return tuple(acc)
         if self.kind == "custom":
             lo, hi = self.support
             cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=400)
@@ -170,29 +159,21 @@ class ScalarSource:
         """n i.i.d. draws using the supplied generator."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind == "atoms":
-            v = np.array([x for x, _ in self.atoms])
-            p = np.array([w for _, w in self.atoms])
-            return rng.choice(v, size=n, p=p)
-        if self.kind == "gaussian":
-            mu, s = self.params
-            return mu + s * rng.standard_normal(n)
+        if self.kind == "mixture":
+            w, mu, s = np.array(self.components).T
+            idx = rng.choice(len(w), size=n, p=w)
+            x = rng.standard_normal(n)
+            x *= s[idx]
+            x += mu[idx]
+            return x
         if self.kind == "uniform":
             lo, hi = self.params
             return rng.uniform(lo, hi, size=n)
         if self.kind == "exponential":
             loc, s = self.params
             return loc + s * rng.standard_exponential(n)
-        if self.kind == "mixture":
-            w = np.array([c[0] for c in self.components])
-            idx = rng.choice(len(w), size=n, p=w)
-            mus = np.array([c[1] for c in self.components])[idx]
-            sig = np.array([c[2] for c in self.components])[idx]
-            return mus + sig * rng.standard_normal(n)
         if self.kind == "custom":
-            if self.sampler is None:
-                raise ValueError("custom source has no sampler")
-            return np.asarray(self.sampler(rng, n), dtype=float)
+            raise ValueError("custom sources cannot be sampled")
         raise ValueError(f"unknown source kind {self.kind!r}")
 
     # -- channel kernels --------------------------------------------------
@@ -201,20 +182,9 @@ class ScalarSource:
         """E_X[ phi(y - sqrt(q) X) ], vectorized over y."""
         y = np.asarray(y, dtype=float)
         sq = math.sqrt(q)
-        if self.kind == "atoms":
-            v = np.array([x for x, _ in self.atoms])
-            p = np.array([w for _, w in self.atoms])
-            return _phi(y[..., None] - sq * v) @ p
-        if self.kind == "gaussian":
-            mu, s = self.params
-            var = 1.0 + q * s * s
-            return np.exp(-0.5 * np.square(y - sq * mu) / var) / math.sqrt(2 * math.pi * var)
         if self.kind == "mixture":
-            acc = np.zeros_like(y, dtype=float)
-            for w, mu, s in self.components:
-                var = 1.0 + q * s * s
-                acc += w * np.exp(-0.5 * np.square(y - sq * mu) / var) / math.sqrt(2 * math.pi * var)
-            return acc
+            terms = _mixture_terms(self.components, q)
+            return np.dot(terms.weight, _component_densities(y, terms)).reshape(y.shape)
         if self.kind == "uniform":
             lo, hi = self.params
             if q == 0.0:
@@ -248,21 +218,15 @@ class ScalarSource:
         sq = math.sqrt(q)
         if q == 0.0:
             return self._moments[0] * _phi(y)
-        if self.kind == "atoms":
-            v = np.array([x for x, _ in self.atoms])
-            p = np.array([w for _, w in self.atoms])
-            return _phi(y[..., None] - sq * v) @ (p * v)
-        if self.kind in ("gaussian", "mixture"):
-            comps = (
-                ((1.0,) + tuple(self.params),) if self.kind == "gaussian" else self.components
-            )
-            acc = np.zeros_like(y, dtype=float)
-            for w, mu, s in comps:
-                var = 1.0 + q * s * s
-                dens = np.exp(-0.5 * np.square(y - sq * mu) / var) / math.sqrt(2 * math.pi * var)
-                post_mean = (mu + sq * s * s * y) / var
-                acc += w * dens * post_mean
-            return acc
+        if self.kind == "mixture":
+            # each component's density times its posterior mean
+            # (mu + sqrt(q) sigma^2 y) / var
+            terms = _mixture_terms(self.components, q)
+            post = terms.slope * y.reshape(-1)
+            np.add(post, terms.mean, post)
+            np.divide(post, terms.var, post)
+            np.multiply(post, _component_densities(y, terms), post)
+            return np.dot(terms.weight, post).reshape(y.shape)
         if self.kind == "uniform":
             lo, hi = self.params
             v2 = y - sq * lo
@@ -282,19 +246,14 @@ class ScalarSource:
 
     def bulk_radius(self, tail_width: float) -> float:
         """Radius B with P(|X| > B) negligible at the ``tail_width`` scale."""
-        if self.kind == "atoms":
-            return max(abs(x) for x, _ in self.atoms)
-        if self.kind == "gaussian":
-            mu, s = self.params
-            return abs(mu) + tail_width * s
+        if self.kind == "mixture":
+            return max(abs(mu) + tail_width * s for _, mu, s in self.components)
         if self.kind == "uniform":
             lo, hi = self.params
             return max(abs(lo), abs(hi))
         if self.kind == "exponential":
             loc, s = self.params
             return abs(loc) + s * (0.5 * tail_width**2 + tail_width)
-        if self.kind == "mixture":
-            return max(abs(mu) + tail_width * s for _, mu, s in self.components)
         lo, hi = self.support
         cap = 0.5 * tail_width**2
         return min(max(abs(lo), abs(hi)), cap)
@@ -308,6 +267,57 @@ def _gaussian_raw_moments(mu: float, s: float) -> tuple:
         mu**3 + 3 * mu * v,
         mu**4 + 6 * mu * mu * v + 3 * v * v,
     )
+
+
+class _MixtureTerms(NamedTuple):
+    """Per-component constants of the mixture kernels at one snr q.
+
+    Component k of Y is N(center_k, var_k) with center_k = sqrt(q) mu_k and
+    var_k = 1 + q sigma_k^2; its posterior mean of X is
+    (mu_k + slope_k y) / var_k with slope_k = sqrt(q) sigma_k^2.  All but
+    ``weight`` are columns of shape (components, 1), so they broadcast
+    against a row of points.
+    """
+
+    weight: np.ndarray
+    mean: np.ndarray
+    center: np.ndarray
+    var: np.ndarray
+    neg_two_var: np.ndarray
+    norm: np.ndarray
+    slope: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _mixture_terms(components: tuple, q: float) -> _MixtureTerms:
+    # The integrands evaluate the kernels one point at a time, so these
+    # constants are built once per (law, q), not once per point.
+    w, mu, s = np.array(components, dtype=float).T[:, :, None]
+    sq = math.sqrt(q)
+    var = 1.0 + q * s * s
+    return _MixtureTerms(
+        weight=w[:, 0],
+        mean=mu,
+        center=sq * mu,
+        var=var,
+        neg_two_var=-2.0 * var,
+        norm=np.sqrt(2.0 * math.pi * var),
+        slope=sq * s * s,
+    )
+
+
+def _component_densities(y: np.ndarray, terms: _MixtureTerms) -> np.ndarray:
+    """Unweighted component densities at the points of y, shape (components, y.size).
+
+    Formed in place in one array, so a bulk call holds one value per point
+    and component; the rows keep each component's points contiguous.
+    """
+    t = terms.center - y.reshape(-1)  # squared below: the sign does not matter
+    np.square(t, t)
+    np.divide(t, terms.neg_two_var, t)
+    np.exp(t, t)
+    np.divide(t, terms.norm, t)
+    return t
 
 
 def _custom_kernel(src: ScalarSource, y: np.ndarray, q: float, weight) -> np.ndarray:
@@ -338,11 +348,13 @@ def _custom_kernel(src: ScalarSource, y: np.ndarray, q: float, weight) -> np.nda
 
 
 def rademacher() -> ScalarSource:
-    return ScalarSource(kind="atoms", name="rademacher", atoms=((-1.0, 0.5), (1.0, 0.5)))
+    return ScalarSource(
+        kind="mixture", name="rademacher", components=((0.5, -1.0, 0.0), (0.5, 1.0, 0.0))
+    )
 
 
 def gaussian() -> ScalarSource:
-    return ScalarSource(kind="gaussian", name="gaussian", params=(0.0, 1.0))
+    return ScalarSource(kind="mixture", name="gaussian", components=((1.0, 0.0, 1.0),))
 
 
 def uniform() -> ScalarSource:
@@ -358,9 +370,9 @@ def expstd() -> ScalarSource:
 def from_atoms(values, probs, name: str = "atoms") -> ScalarSource:
     """Discrete law on the given atoms, standardized automatically."""
     raw = ScalarSource(
-        kind="atoms",
+        kind="mixture",
         name=name,
-        atoms=tuple((float(v), float(p)) for v, p in zip(values, probs)),
+        components=tuple((float(p), float(v), 0.0) for v, p in zip(values, probs)),
     )
     return standardize(raw)
 
@@ -378,9 +390,9 @@ def gaussian_mixture(weight, mu1, sigma1, mu2, sigma2, name: str = "mixture") ->
     return standardize(raw)
 
 
-def custom_source(pdf, support, name: str = "custom", sampler=None) -> ScalarSource:
+def custom_source(pdf, support, name: str = "custom") -> ScalarSource:
     """Standardized law from an arbitrary density (moments by quadrature)."""
-    raw = ScalarSource(kind="custom", name=name, pdf=pdf, support=tuple(support), sampler=sampler)
+    raw = ScalarSource(kind="custom", name=name, pdf=pdf, support=tuple(support))
     return standardize(raw)
 
 
@@ -390,9 +402,9 @@ def standardize(src: ScalarSource) -> ScalarSource:
     Idempotent: already-standard laws come back unchanged.
     """
     m1 = src._moments[0]
-    if src.kind == "atoms":
+    if src.kind == "mixture":
         # two passes: EX^2 - (EX)^2 cancels for nearly coincident atoms
-        var = sum(p * (v - m1) ** 2 for v, p in src.atoms)
+        var = sum(w * ((mu - m1) ** 2 + sg * sg) for w, mu, sg in src.components)
     else:
         var = src._moments[1] - m1 * m1
     if var <= _STD_TOL:
@@ -400,14 +412,12 @@ def standardize(src: ScalarSource) -> ScalarSource:
     if abs(m1) <= _STD_TOL and abs(var - 1.0) <= _STD_TOL:
         return src
     s = math.sqrt(var)
-    if src.kind == "atoms":
+    if src.kind == "mixture":
         return ScalarSource(
-            kind="atoms",
+            kind="mixture",
             name=src.name,
-            atoms=tuple(((v - m1) / s, p) for v, p in src.atoms),
+            components=tuple((w, (mu - m1) / s, sg / s) for w, mu, sg in src.components),
         )
-    if src.kind == "gaussian":
-        return ScalarSource(kind="gaussian", name=src.name, params=(0.0, 1.0))
     if src.kind == "uniform":
         lo, hi = src.params
         return ScalarSource(kind="uniform", name=src.name, params=((lo - m1) / s, (hi - m1) / s))
@@ -416,25 +426,11 @@ def standardize(src: ScalarSource) -> ScalarSource:
         return ScalarSource(
             kind="exponential", name=src.name, params=((loc - m1) / s, sc / s)
         )
-    if src.kind == "mixture":
-        return ScalarSource(
-            kind="mixture",
-            name=src.name,
-            components=tuple((w, (mu - m1) / s, sg / s) for w, mu, sg in src.components),
-        )
     if src.kind == "custom":
         base_pdf, (lo, hi) = src.pdf, src.support
         pdf = lambda x: base_pdf(m1 + s * x) * s
-        base_sampler = src.sampler
-        sampler = None
-        if base_sampler is not None:
-            sampler = lambda rng, n: (np.asarray(base_sampler(rng, n)) - m1) / s
         return ScalarSource(
-            kind="custom",
-            name=src.name,
-            pdf=pdf,
-            support=((lo - m1) / s, (hi - m1) / s),
-            sampler=sampler,
+            kind="custom", name=src.name, pdf=pdf, support=((lo - m1) / s, (hi - m1) / s)
         )
     raise ValueError(f"unknown source kind {src.kind!r}")
 
@@ -487,11 +483,12 @@ def parse_source(spec: str) -> ScalarSource:
 class AmplitudeLaw:
     """Per-tone amplitude law with E a^2 = 1.
 
-    ``unit`` is the deterministic amplitude a = 1 (the mean-zero condition
-    holds for the tone signal itself through its uniform phase, not for a).
+    ``magnitudes`` is a discrete law on |a| values, given as (|a|, prob)
+    pairs; magnitudes of probability 0 are dropped.  The deterministic
+    amplitude a = 1 is the law ((1.0, 1.0),) (the mean-zero condition holds
+    for the tone signal itself through its uniform phase, not for a).
     ``gaussian-pair`` is the jointly Gaussian cosine/sine coefficient pair,
-    whose channel output is exactly Gaussian.  ``magnitudes`` is a discrete
-    law on |a| values.
+    whose channel output is exactly Gaussian.
     """
 
     kind: str
@@ -499,7 +496,7 @@ class AmplitudeLaw:
     magnitudes: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("unit", "gaussian-pair", "magnitudes"):
+        if self.kind not in ("gaussian-pair", "magnitudes"):
             raise ValueError(f"unknown amplitude kind {self.kind!r}")
         if self.kind == "magnitudes":
             a = np.array([v for v, _ in self.magnitudes])
@@ -508,29 +505,22 @@ class AmplitudeLaw:
                 raise ValueError("magnitudes must be >= 0 with probabilities summing to 1")
             if abs(float(p @ a**2) - 1.0) > 1e-12:
                 raise ValueError("amplitude law must satisfy E a^2 = 1")
-
-    def magnitude_atoms(self) -> tuple:
-        """(|a|, prob) pairs; None-like for the gaussian pair (not discrete)."""
-        if self.kind == "unit":
-            return ((1.0, 1.0),)
-        if self.kind == "magnitudes":
-            return self.magnitudes
-        raise ValueError("gaussian-pair amplitude has no discrete magnitudes")
+            kept = tuple((v, w) for v, w in self.magnitudes if w > 0)
+            object.__setattr__(self, "magnitudes", kept)
 
     def sample_coefficients(self, rng: np.random.Generator, n: int):
         """n draws of the per-tone coefficient pair (a cos th, -a sin th)."""
         if self.kind == "gaussian-pair":
             return rng.standard_normal((n, 2)) / math.sqrt(2.0)
-        mags = self.magnitude_atoms()
-        a_vals = np.array([v for v, _ in mags])
-        a_probs = np.array([w for _, w in mags])
+        a_vals = np.array([v for v, _ in self.magnitudes])
+        a_probs = np.array([w for _, w in self.magnitudes])
         a = rng.choice(a_vals, size=n, p=a_probs)
         th = rng.uniform(0.0, 2.0 * math.pi, size=n)
         return np.column_stack((a * np.cos(th), -a * np.sin(th)))
 
 
 def unit_amplitude() -> AmplitudeLaw:
-    return AmplitudeLaw(kind="unit", name="unit")
+    return AmplitudeLaw(kind="magnitudes", name="unit", magnitudes=((1.0, 1.0),))
 
 
 def gaussian_pair_amplitude() -> AmplitudeLaw:

@@ -101,7 +101,7 @@ def tone_divergence(
         # Gaussian coefficient pair: the output law *is* the matched Gaussian.
         return 0.0
 
-    mags = law.magnitude_atoms()
+    mags = law.magnitudes
     sq = math.sqrt(q)
     half_var = 1.0 + 0.5 * q
     log_g_norm = -math.log(half_var)
@@ -150,7 +150,7 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
     if x == 0.0 or law.kind == "gaussian-pair":
         return 1.0 / (1.0 + 0.5 * x)
 
-    mags = law.magnitude_atoms()
+    mags = law.magnitudes
     sq = math.sqrt(x)
 
     def integrand(r: float) -> float:

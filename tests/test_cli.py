@@ -170,6 +170,14 @@ def test_tones_unit_deficits_converge(tmp_path):
     assert abs(scaled[-1] - 0.25) < abs(scaled[0] - 0.25)
 
 
+def test_tones_zero_probability_magnitude_is_dropped(tmp_path):
+    grid = ["--n-list", "1", "--q-grid", "1"]
+    code, out = run_cli(["tones", "--amplitude", "mags:1,1,2,0", *grid], tmp_path, "mags.csv")
+    assert code == EXIT_OK
+    _, unit = run_cli(["tones", "--amplitude", "unit", *grid], tmp_path, "unit.csv")
+    assert out.read_bytes() == unit.read_bytes()
+
+
 def test_kalman_gap_shrinks_linearly(tmp_path):
     code, out = run_cli(
         [

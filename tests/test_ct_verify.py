@@ -136,12 +136,6 @@ def test_mc_reproducible():
     assert a == b
 
 
-def test_mc_stratified_agrees():
-    cfg = McConfig(sample_count=10**5, seed=5, stratified=True)
-    est = mc_scalar_mmse(gaussian(), 1.0, cfg)
-    assert abs(est.value - 0.5) <= 3 * est.std_error
-
-
 def test_mc_matches_quadrature_rademacher():
     q = 0.1
     quad_val = mmse(ScalarChannel(rademacher(), q))

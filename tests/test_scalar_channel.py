@@ -16,7 +16,15 @@ from mmselab.scalar_channel import (
     nongaussianity,
     output_density,
 )
-from mmselab.sources import builtin_sources, expstd, gaussian, rademacher, uniform
+from mmselab.sources import (
+    ScalarSource,
+    builtin_sources,
+    expstd,
+    from_atoms,
+    gaussian,
+    rademacher,
+    uniform,
+)
 
 _PHI = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
 
@@ -31,6 +39,8 @@ RAD_MMSE = {
 }
 RAD_DIV_1 = 0.0097427699331410427
 UNIF_MMSE = {0.5: 0.6616263262955741, 2.0: 0.3157835569330359}
+# E Var[X|Y] over the truncated-normal posterior, composite Gauss-Legendre
+UNIF_MMSE.update({1e6: 9.994785388041e-07, 1e8: 9.9994785388e-09})
 EXP_MMSE = {0.5: 0.584192204429272894, 2.0: 0.265372547008808828}
 
 
@@ -39,9 +49,7 @@ def test_channel_validation():
         ScalarChannel(gaussian(), -0.5)
     with pytest.raises(ValueError):
         ScalarChannel(gaussian(), math.inf)
-    from mmselab.sources import ScalarSource
-
-    raw = ScalarSource(kind="gaussian", name="raw", params=(1.0, 2.0))
+    raw = ScalarSource(kind="mixture", name="raw", components=((1.0, 1.0, 2.0),))
     with pytest.raises(ValueError):
         ScalarChannel(raw, 1.0)
 
@@ -243,3 +251,53 @@ def test_skewed_source_expansion_discrepancy_measured():
     measured_c2 = (mmse(ScalarChannel(src, q)) - 1 + q) / (q * q)
     assert measured_c2 < 0.0
     assert measured_c2 == pytest.approx(1.0 - 0.5 * m3 * m3, abs=0.1)
+
+
+ATOM_LAWS = (
+    from_atoms([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3], name="atoms-3"),
+    from_atoms([-3.0, -1.0, 1.0, 3.0], [0.25] * 4, name="pam-4"),
+    from_atoms([0.0, 1.0], [0.8, 0.2], name="bernoulli-0.2"),
+    # two pairs of close atoms: one breakpoint per atom gave D = 3.80 at q = 1e5, not 4.39
+    from_atoms(
+        [-1.0104234632663414, -1.216773582774118, 0.8374264084823348, 0.9513358540799922],
+        [0.26408080544184714, 0.18846474359204418, 0.21649376174674503, 0.33096068921936367],
+        name="close-pairs",
+    ),
+)
+# an atom at 0 and N(0, 2), each of weight 1/2: standardized as it stands
+HALF_ATOM = ScalarSource(
+    kind="mixture", name="half-atom", components=((0.5, 0.0, 0.0), (0.5, 0.0, math.sqrt(2.0)))
+)
+
+
+@pytest.mark.parametrize(
+    "src", builtin_sources() + ATOM_LAWS + (HALF_ATOM,), ids=lambda src: src.name
+)
+def test_error_and_divergence_bounds_over_snr(src):
+    for q in (1e-2, 1.0, 1e2, 1e4, 1e5, 1e6, 1e8):
+        ch = ScalarChannel(src, q)
+        m, d = mmse(ch), nongaussianity(ch)
+        assert 0.0 <= m <= 1.0 / (1.0 + q) + 1e-9, (q, m)
+        assert 0.0 <= d <= 0.5 * math.log1p(q), (q, d)
+
+
+@pytest.mark.parametrize("src", (rademacher(),) + ATOM_LAWS, ids=lambda src: src.name)
+def test_atom_law_divergence_high_snr_limit(src):
+    # atoms sqrt(q) apart and more: I(X; Y) = H(X) up to terms far below 1e-9
+    entropy = -sum(w * math.log(w) for w, _, _ in src.components)
+    for q in (1e5, 1e6, 1e8):
+        d = nongaussianity(ScalarChannel(src, q))
+        assert d == pytest.approx(0.5 * math.log1p(q) - entropy, rel=1e-9), q
+
+
+def test_mixed_atom_gaussian_kernels_closed_form():
+    # only the N(0, 2) half carries X: its posterior mean is 2 sqrt(q) y / (1 + 2q)
+    ys = np.linspace(-30.0, 30.0, 61)
+    for q in (0.5, 1e4):
+        var = 1.0 + 2.0 * q
+        g = np.exp(-0.5 * ys * ys / var) / math.sqrt(2.0 * math.pi * var)
+        phi = np.exp(-0.5 * ys * ys) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(HALF_ATOM.output_density(ys, q), 0.5 * phi + 0.5 * g, rtol=1e-13)
+        np.testing.assert_allclose(
+            HALF_ATOM.cross_density(ys, q), g * math.sqrt(q) * ys / var, rtol=1e-13, atol=0.0
+        )

@@ -45,15 +45,15 @@ def test_all_registered_sources_standardized():
 
 
 def test_standardize_gaussian():
-    raw = ScalarSource(kind="gaussian", name="raw", params=(5.0, 2.0))
+    raw = ScalarSource(kind="mixture", name="raw", components=((1.0, 5.0, 2.0),))
     std = standardize(raw)
-    assert std.params == (0.0, 1.0)
+    assert std.components == ((1.0, 0.0, 1.0),)
 
 
 def test_standardize_atoms():
-    raw = ScalarSource(kind="atoms", name="raw", atoms=((0.0, 0.5), (2.0, 0.5)))
+    raw = ScalarSource(kind="mixture", name="raw", components=((0.5, 0.0, 0.0), (0.5, 2.0, 0.0)))
     std = standardize(raw)
-    values = sorted(v for v, _ in std.atoms)
+    values = sorted(v for _, v, _ in std.components)
     assert values == pytest.approx([-1.0, 1.0])
 
 
@@ -78,7 +78,7 @@ def test_standardize_idempotent():
 
 
 def test_standardize_rejects_degenerate():
-    raw = ScalarSource(kind="atoms", name="point", atoms=((3.0, 1.0),))
+    raw = ScalarSource(kind="mixture", name="point", components=((1.0, 3.0, 0.0),))
     with pytest.raises(ZeroVariance):
         standardize(raw)
 
@@ -125,9 +125,8 @@ def test_output_density_matches_sampling_free_quadrature():
         dens = src.output_density(y_probe, q)
         cross = src.cross_density(y_probe, q)
         for yi, d, c in zip(y_probe, dens, cross):
-            if src.kind == "atoms":
-                vals = np.array([v for v, _ in src.atoms])
-                probs = np.array([p for _, p in src.atoms])
+            if src.kind == "mixture" and all(s == 0.0 for _, _, s in src.components):
+                probs, vals, _ = np.array(src.components).T
                 phi = np.exp(-0.5 * (yi - sq * vals) ** 2) / math.sqrt(2 * math.pi)
                 d_ref, c_ref = float(probs @ phi), float((probs * vals) @ phi)
             else:
@@ -161,7 +160,7 @@ def test_parse_source_specs():
     mix = parse_source("mix:0.3,-1,0.5,2,1.2")
     assert mix.is_standard
     atoms = parse_source("atoms:0,0.5,2,0.5")
-    assert sorted(v for v, _ in atoms.atoms) == pytest.approx([-1.0, 1.0])
+    assert sorted(v for _, v, _ in atoms.components) == pytest.approx([-1.0, 1.0])
     with pytest.raises(ValueError):
         parse_source("cauchy")
     with pytest.raises(ValueError):
@@ -169,7 +168,7 @@ def test_parse_source_specs():
 
 
 def test_amplitude_laws():
-    assert unit_amplitude().magnitude_atoms() == ((1.0, 1.0),)
+    assert unit_amplitude().magnitudes == ((1.0, 1.0),)
     mags = magnitude_law([0.5, math.sqrt(1.75)], [0.5, 0.5])
     a = np.array([v for v, _ in mags.magnitudes])
     p = np.array([w for _, w in mags.magnitudes])
@@ -190,7 +189,7 @@ def test_amplitude_coefficient_sampling():
 
 
 def test_parse_amplitude():
-    assert parse_amplitude("unit").kind == "unit"
+    assert parse_amplitude("unit").magnitudes == ((1.0, 1.0),)
     assert parse_amplitude("gaussian").kind == "gaussian-pair"
     assert parse_amplitude("mags:0.5,0.5,1.3228756555322954,0.5").kind == "magnitudes"
     with pytest.raises(ValueError):
