@@ -11,7 +11,6 @@ from .numerics import (
     NonFinite,
     NumericsError,
     QuadratureConfig,
-    RadialHalfLine,
     StepUnderflow,
     ValueWithError,
     derivative_at_zero,

@@ -7,17 +7,18 @@ adaptive subdivision with a fixed 21-point Gauss-Kronrod rule per panel
 one-sided finite differences on a geometric step schedule with a
 Richardson/Ridders extrapolation tableau.
 
-Infinite integration limits are truncated at ``tail_width`` standard
-deviations of the relevant (unit, unless the caller rescales) Gaussian
-envelope: every integrand in this package is Gaussian-tailed, so the
-truncation error is far below the requested tolerances.
+Infinite integration limits go to QUADPACK's infinite-range rule.  The
+channel integrals pass finite domains instead, cut ``tail_width`` noise
+standard deviations beyond the output's bulk: their integrands are
+Gaussian-tailed, so the truncation error is far below the requested
+tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 from scipy import integrate as _sci_integrate
 
@@ -30,7 +31,6 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "DIVERGENCE_QUADRATURE",
     "ValueWithError",
-    "RadialHalfLine",
     "DerivativeEstimate",
     "integrate",
     "derivative_at_zero",
@@ -67,7 +67,8 @@ class QuadratureConfig:
     max_subdivisions : int
         Adaptive panel budget.
     tail_width : float
-        Number of standard deviations at which infinite domains are cut.
+        Number of noise standard deviations beyond the output's bulk at
+        which the channel integrals cut their domains.
     """
 
     rel_tol: float = 1e-9
@@ -97,26 +98,6 @@ class ValueWithError(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RadialHalfLine:
-    """Half-line domain ``[0, center + tail_width * width)`` for radial integrals.
-
-    The caller folds the polar Jacobian into the integrand; ``center`` and
-    ``width`` describe where the radial mass lives so the truncation point
-    can be placed ``tail_width`` widths beyond it.
-    """
-
-    center: float = 0.0
-    width: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.center >= 0 and self.width > 0):
-            raise ValueError("center must be >= 0 and width > 0")
-
-
-Domain = Union[tuple, RadialHalfLine]
-
-
-@dataclass(frozen=True)
 class DerivativeEstimate:
     """A one-sided derivative at zero with its extrapolation error estimate."""
 
@@ -141,24 +122,9 @@ def _check_snr(q: float) -> float:
     return q
 
 
-def _resolve_domain(domain: Domain, tail_width: float) -> tuple:
-    if isinstance(domain, RadialHalfLine):
-        return 0.0, domain.center + tail_width * domain.width
-    a, b = domain
-    a = float(a)
-    b = float(b)
-    if math.isinf(a):
-        a = -tail_width
-    if math.isinf(b):
-        b = tail_width
-    if not a < b:
-        raise ValueError(f"empty integration domain ({a}, {b})")
-    return a, b
-
-
 def integrate(
     f: Callable[[float], float],
-    domain: Domain,
+    domain: tuple,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
     breakpoints: Sequence[float] | None = None,
@@ -169,11 +135,12 @@ def integrate(
     ----------
     f : callable
         Scalar integrand, finite on the domain interior.
-    domain : (a, b) tuple or RadialHalfLine
-        Infinite endpoints are truncated at ``cfg.tail_width``.
+    domain : (a, b) tuple
+        Either endpoint may be infinite; QUADPACK then maps the infinite
+        range onto a finite one.
     breakpoints : sequence of float, optional
         Known peak locations; passed to the subdivision as fixed panel
-        boundaries (helps sharply peaked mixtures).
+        boundaries (helps sharply peaked mixtures).  Finite domains only.
 
     Returns
     -------
@@ -187,7 +154,9 @@ def integrate(
     NonFinite
         If ``f`` evaluates to NaN or +-inf anywhere it is sampled.
     """
-    a, b = _resolve_domain(domain, cfg.tail_width)
+    a, b = float(domain[0]), float(domain[1])
+    if not a < b:
+        raise ValueError(f"empty integration domain ({a}, {b})")
 
     def guarded(x: float) -> float:
         v = f(x)

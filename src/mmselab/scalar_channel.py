@@ -95,21 +95,23 @@ def _domain_radius(src: ScalarSource, q: float, tail: float) -> float:
 def _panel_breakpoints(src: ScalarSource, q: float):
     """Panel breakpoints around the sharp features of the output density.
 
-    An atom (a mixture component with sigma = 0) at v puts a unit-width
-    Gaussian bump at sqrt(q) v into the output density, and each end v of
-    a uniform law a unit-width step.  At high q these features are far
-    narrower than the domain, and a panel that merely ends at one can miss
-    it (a uniform law from q = 1e7 on, where the first Gauss-Kronrod rule
-    samples only the flat top and the tails); breakpoints at 0 and +-8
-    around each feature keep it inside two panels of width 8.  Other laws
-    get no breakpoints.
+    A mixture component (w, mu, sigma) puts a Gaussian bump of width
+    sqrt(1 + q sigma^2) at sqrt(q) mu into the output density (an atom,
+    sigma = 0, a unit-width one), and each end v of a uniform law a
+    unit-width step.  At high q these features are far narrower than the
+    domain, and a panel that merely ends at one can miss it (a uniform law
+    from q = 1e7 on, where the first Gauss-Kronrod rule samples only the
+    flat top and the tails); breakpoints at 0 and +-8 widths around each
+    feature keep it inside two panels.  Other laws get no breakpoints.
     """
     if src.kind == "uniform":
-        features = src.params
+        features = [(v, 0.0) for v in src.params]
     else:
-        features = [mu for _, mu, s in src.components if s == 0.0]
+        features = [(mu, s) for _, mu, s in src.components]
     sq = math.sqrt(q)
-    return sorted({sq * v + d for v in features for d in (-8.0, 0.0, 8.0)}) or None
+    return sorted(
+        {sq * mu + d * math.sqrt(1.0 + q * s * s) for mu, s in features for d in (-8.0, 0.0, 8.0)}
+    ) or None
 
 
 def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

@@ -20,9 +20,10 @@ integral.  The errors are
 where the mmse integrand is the squared posterior mean of the tone's
 coefficient pair.  By the I-MMSE relation (Guo, Shamai, Verdu 2005) the
 mmse equals 1/(1 + q/(2N)) - 2 D'(q/N), so both errors reduce to the
-Gaussian-amplitude closed forms when D == 0.  The large-N expansions are
-1 - [1/4 + d2] q/N and 1 - [1/2 + 2 d2] q/N where d2 is the second
-derivative of the single-tone divergence at zero snr.
+Gaussian-amplitude closed forms when D == 0.  Since D(0) = D'(0) = D''(0)
+= 0 for every amplitude law (Guo, Wu, Shamai, Verdu 2011), the large-N
+expansions are those of the Gaussian amplitude: 1 - q/(4N) and
+1 - q/(2N).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from scipy import special as _sp
 from .numerics import (
     DIVERGENCE_QUADRATURE,
     QuadratureConfig,
-    RadialHalfLine,
     _check_snr,
     integrate,
     kl_integrand_from_logs,
@@ -113,7 +113,7 @@ def tone_divergence(
         return kl_integrand_from_logs(log_p, log_g)
 
     a_max = max(a for a, _ in mags)
-    domain = RadialHalfLine(center=sq * a_max, width=math.sqrt(half_var))
+    domain = (0.0, sq * a_max + cfg.tail_width * math.sqrt(half_var))
     return max(0.0, integrate(integrand, domain, cfg).value)
 
 
@@ -162,7 +162,7 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
         return r * math.exp(log_f) * est * est
 
     a_max = max(a for a, _ in mags)
-    return 1.0 - integrate(integrand, RadialHalfLine(center=sq * a_max), cfg).value
+    return 1.0 - integrate(integrand, (0.0, sq * a_max + cfg.tail_width), cfg).value
 
 
 def gaussian_cmmse(n: int, q: float) -> float:
@@ -179,14 +179,14 @@ def gaussian_mmse_tone(n: int, q: float) -> float:
     return 1.0 / (1.0 + q / (2.0 * n))
 
 
-def cmmse_asymptotic(n: int, q: float, d2: float) -> float:
-    """Leading large-N behavior of the causal error, given D''(0) = d2."""
-    return 1.0 - (0.25 + d2) * q / n
+def cmmse_asymptotic(n: int, q: float) -> float:
+    """Leading large-N behavior of the causal error: 1 - q/(4N)."""
+    return 1.0 - 0.25 * q / n
 
 
-def mmse_asymptotic(n: int, q: float, d2: float) -> float:
-    """Leading large-N behavior of the non-causal error, given D''(0) = d2."""
-    return 1.0 - (0.5 + 2.0 * d2) * q / n
+def mmse_asymptotic(n: int, q: float) -> float:
+    """Leading large-N behavior of the non-causal error: 1 - q/(2N)."""
+    return 1.0 - 0.5 * q / n
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,15 @@ def convergence_rate_fit(
     n_values,
     q: float,
     kind: str,
-    d2: float,
     cfg: QuadratureConfig = DIVERGENCE_QUADRATURE,
 ) -> RateFit:
     """Fit (1 - error) ~ c1 (q/N) + c2 (q/N)^2 over an N sweep.
 
     The quadratic regressor absorbs the known second-order term of the
     deficit so that ``coefficient`` estimates the leading rate, to be
-    compared against 1/4 + d2 (cmmse) or 1/2 + 2 d2 (mmse).  The residual
-    norm reports what is left beyond both fitted terms.
+    compared against 1/4 (cmmse) or 1/2 (mmse), the rates that D''(0) = 0
+    gives every amplitude law.  The residual norm reports what is left
+    beyond both fitted terms.
     """
     n_values = tuple(int(n) for n in n_values)
     if len(n_values) < 4:
@@ -234,7 +234,7 @@ def convergence_rate_fit(
     design = np.column_stack((x, x * x))
     coef, _, _, _ = np.linalg.lstsq(design, deficits, rcond=None)
     resid = deficits - design @ coef
-    predicted = 0.25 + d2 if kind == "cmmse" else 0.5 + 2.0 * d2
+    predicted = 0.25 if kind == "cmmse" else 0.5
     return RateFit(
         kind=kind,
         coefficient=float(coef[0]),

@@ -165,9 +165,37 @@ def test_tones_unit_deficits_converge(tmp_path):
     assert code == EXIT_OK
     rows = read_csv(out)
     scaled = [float(r["cmmse_deficit_scaled"]) for r in rows]
-    # deficit*N/q approaches 1/4 + D''(0) = 1/4 from below as N grows
+    # deficit*N/q approaches 1/4 (D''(0) = 0) from below as N grows
     assert scaled[-1] == pytest.approx(0.25, abs=0.01)
     assert abs(scaled[-1] - 0.25) < abs(scaled[0] - 0.25)
+
+
+def test_tones_asymptotic_columns_are_exact(tmp_path):
+    # D''(0) = 0 for every amplitude law, so the columns are 1 - q/(4N) and 1 - q/(2N)
+    code, out = run_cli(
+        ["tones", "--amplitude", "unit", "--n-list", "1,4,16", "--q-grid", "0.5,2,8"], tmp_path
+    )
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert len(rows) == 9
+    for row in rows:
+        n, q = int(row["n"]), float(row["q"])
+        assert row["cmmse_asymptotic"] == format(1 - q / (4 * n), ".17g")
+        assert row["mmse_asymptotic"] == format(1 - q / (2 * n), ".17g")
+
+
+@pytest.mark.parametrize("sigma, q", [(0.01, 1e4), (0.001, 1e6)])
+def test_scalar_narrow_mixture_high_snr(tmp_path, sigma, q):
+    # the two output peaks, width sqrt(1 + q s^2), lie far apart: mmse is
+    # one component's s^2 / (1 + q s^2) and D = (1/2) ln((1 + q) / (1 + q s^2)) - ln 2
+    spec = f"mix:0.5,-1,{sigma},1,{sigma}"
+    code, out = run_cli(["scalar", "--source", spec, "--q-grid", repr(q)], tmp_path)
+    assert code == EXIT_OK
+    row = read_csv(out)[0]
+    s2 = sigma**2 / (1.0 + sigma**2)  # component variance after standardization
+    assert float(row["mmse"]) == pytest.approx(s2 / (1.0 + q * s2), abs=1e-9)
+    expected_d = 0.5 * math.log((1.0 + q) / (1.0 + q * s2)) - math.log(2.0)
+    assert float(row["nongaussianity"]) == pytest.approx(expected_d, rel=1e-9)
 
 
 def test_tones_zero_probability_magnitude_is_dropped(tmp_path):
@@ -222,14 +250,6 @@ def test_byte_identical_reruns(tmp_path):
     _, out1 = run_cli(args, tmp_path, "a.csv")
     _, out2 = run_cli(args, tmp_path, "b.csv")
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_worker_pool_matches_serial(tmp_path, monkeypatch):
-    args = ["tones", "--amplitude", "gaussian", "--n-list", "1,2", "--q-grid", "1,2"]
-    _, serial = run_cli(args, tmp_path, "serial.csv")
-    monkeypatch.setenv("MMSELAB_WORKERS", "2")
-    _, parallel = run_cli(args, tmp_path, "parallel.csv")
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_cells_carry_17_significant_digits(tmp_path):

@@ -10,7 +10,6 @@ from mmselab.numerics import (
     NonConvergence,
     NonFinite,
     QuadratureConfig,
-    RadialHalfLine,
     StepUnderflow,
     derivative_at_zero,
     integrate,
@@ -52,7 +51,7 @@ def test_second_moment_is_one():
 
 def test_radial_halfline_domain():
     # Rayleigh density r exp(-r^2/2) integrates to 1 on the half-line
-    val, _ = integrate(lambda r: r * math.exp(-0.5 * r * r), RadialHalfLine())
+    val, _ = integrate(lambda r: r * math.exp(-0.5 * r * r), (0.0, math.inf))
     assert val == pytest.approx(1.0, abs=1e-9)
 
 

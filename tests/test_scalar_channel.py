@@ -19,9 +19,11 @@ from mmselab.scalar_channel import (
 from mmselab.sources import (
     ScalarSource,
     builtin_sources,
+    custom_source,
     expstd,
     from_atoms,
     gaussian,
+    gaussian_mixture,
     rademacher,
     uniform,
 )
@@ -268,10 +270,16 @@ ATOM_LAWS = (
 HALF_ATOM = ScalarSource(
     kind="mixture", name="half-atom", components=((0.5, 0.0, 0.0), (0.5, 0.0, math.sqrt(2.0)))
 )
+# two narrow Gaussian components: output peaks of width sqrt(1 + q sigma^2)
+NARROW_MIXTURES = tuple(
+    gaussian_mixture(0.5, -1.0, s, 1.0, s, name=f"narrow-{s}") for s in (0.01, 0.001)
+)
 
 
 @pytest.mark.parametrize(
-    "src", builtin_sources() + ATOM_LAWS + (HALF_ATOM,), ids=lambda src: src.name
+    "src",
+    builtin_sources() + ATOM_LAWS + (HALF_ATOM,) + NARROW_MIXTURES,
+    ids=lambda src: src.name,
 )
 def test_error_and_divergence_bounds_over_snr(src):
     for q in (1e-2, 1.0, 1e2, 1e4, 1e5, 1e6, 1e8):
@@ -301,3 +309,34 @@ def test_mixed_atom_gaussian_kernels_closed_form():
         np.testing.assert_allclose(
             HALF_ATOM.cross_density(ys, q), g * math.sqrt(q) * ys / var, rtol=1e-13, atol=0.0
         )
+
+
+def _composite_rule(a, b, width):
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(a, b, math.ceil((b - a) / width) + 1)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
+
+
+def test_laplace_custom_law_is_standard_and_usable():
+    # an infinite support: the moments come from QUADPACK's infinite-range rule
+    r2 = math.sqrt(2.0)
+    src = custom_source(lambda x: math.exp(-r2 * abs(x)) / r2, (-math.inf, math.inf))
+    assert src.is_standard
+    assert [src.moment(k) for k in (1, 2, 3, 4)] == pytest.approx([0.0, 1.0, 0.0, 6.0], abs=1e-12)
+    q, sq = 8.0, math.sqrt(8.0)
+    got = mmse(ScalarChannel(src, q), QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15, max_subdivisions=400))
+    # reference: a tensor Gauss-Legendre rule over (x, y), split at the kink x = 0
+    xl, wl = _composite_rule(-25.0, 0.0, 0.2)
+    xr, wr = _composite_rule(0.0, 25.0, 0.2)
+    x = np.concatenate([xl, xr])
+    fx = np.concatenate([wl, wr]) * np.exp(-r2 * np.abs(x)) / r2
+    y, wy = _composite_rule(-25.0 * sq - 12.0, 25.0 * sq + 12.0, 1.0)
+    ref = 0.0
+    for start in range(0, y.size, 256):
+        block = slice(start, start + 256)
+        kern = np.exp(-0.5 * (y[block, None] - sq * x) ** 2) * fx
+        m0, m1, m2 = kern.sum(axis=1), kern @ x, kern @ (x * x)
+        ref += float(np.dot(wy[block], m2 - m1 * m1 / m0)) / math.sqrt(2.0 * math.pi)
+    assert 0.0 < got < 1.0 / (1.0 + q)
+    assert got == pytest.approx(ref, abs=1e-9)
