@@ -19,7 +19,7 @@ for n, q in ((1, 2.0), (2, 2.0), (4, 1.0)):
     print(f"  {'steps':>6s} {'dt':>12s} {'cmmse':>14s} {'gap':>11s} {'mmse':>14s} {'gap':>11s}")
     history = []
     for steps in (1024, 2048, 4096, 8192):
-        setup = KalmanSetup.from_steps(n, q, steps)
+        setup = KalmanSetup(n, q, steps)
         cm, mm = kalman_cmmse(setup), kalman_mmse(setup)
         history.append((cm, mm))
         print(

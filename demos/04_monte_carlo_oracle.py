@@ -40,7 +40,7 @@ print()
 print("=" * 76)
 print("One discretized observation path (unit-amplitude tone, N=1, q=4)")
 print("=" * 76)
-setup = KalmanSetup.from_steps(1, 4.0, 4096)
+setup = KalmanSetup(1, 4.0, 4096)
 path = simulate_path(setup, unit_amplitude(), np.random.default_rng(11))
 energy = float(np.sum(path.signal**2) * setup.dt)
 residual = path.increments - np.sqrt(setup.q) * path.signal * setup.dt

@@ -45,7 +45,6 @@ from .scalar_channel import (
     mmse,
     mmse_taylor3,
     nongaussianity,
-    output_density,
 )
 from .tone_channel import (
     RateFit,

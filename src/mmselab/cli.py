@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .sources import parse_amplitude, parse_source
 
 __all__ = [
     "ConfigError",
-    "RunConfig",
     "cmd_scalar",
     "cmd_derivatives",
     "cmd_tones",
@@ -42,29 +40,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    source: str = "rademacher"
-    q_grid: tuple = ()
-    n_list: tuple = ()
-    amplitude: str = "unit"
-    orders: tuple = (1, 2, 3, 4)
-    tol: float = 1e-9
-    seed: int = 0
-    samples: int = 200_000
-    base_steps: int = 2048
-    dt_levels: int = 3
-    out: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
 
 
 def parse_q_grid(spec: str) -> tuple:
@@ -101,7 +76,7 @@ def parse_n_list(spec: str) -> tuple:
         values = tuple(int(t) for t in spec.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad n-list {spec!r}") from exc
-    if not values or any(n < 1 for n in values):
+    if any(n < 1 for n in values):
         raise ConfigError("n-list entries must be positive integers")
     return values
 
@@ -150,8 +125,9 @@ def _tone_point(law, n: int, q: float, cfg: QuadratureConfig) -> dict:
 
 
 def _mc_point(spec: str, src, q: float, cfg: QuadratureConfig, samples: int, seed: int) -> dict:
+    mc_cfg = ct_verify.McConfig(sample_count=samples, seed=seed)
     quad_value = scalar_channel.mmse(scalar_channel.ScalarChannel(src, q), cfg)
-    est = ct_verify.mc_scalar_mmse(src, q, ct_verify.McConfig(sample_count=samples, seed=seed))
+    est = ct_verify.mc_scalar_mmse(src, q, mc_cfg)
     diff = abs(est.value - quad_value)
     return {
         "source": spec,
@@ -164,21 +140,23 @@ def _mc_point(spec: str, src, q: float, cfg: QuadratureConfig, samples: int, see
     }
 
 
-# -- subcommands ------------------------------------------------------------
+# -- subcommands: each reads the parsed argparse namespace ---------------------
 
 
-def cmd_scalar(config: RunConfig) -> list:
-    if not config.q_grid:
-        raise ConfigError("scalar needs a q grid")
-    src = parse_source(config.source)
-    cfg = _quad_cfg(config.tol)
-    return [_scalar_point(src, q, cfg) for q in config.q_grid]
+def cmd_scalar(args: argparse.Namespace) -> list:
+    q_grid = parse_q_grid(args.q_grid)
+    src = parse_source(args.source)
+    cfg = _quad_cfg(args.tol)
+    return [_scalar_point(src, q, cfg) for q in q_grid]
 
 
-def cmd_derivatives(config: RunConfig) -> list:
-    src = parse_source(config.source)
-    cfg = _quad_cfg(min(config.tol, 1e-12))
-    estimates = scalar_channel.divergence_derivatives_at_zero(src, config.orders, cfg)
+def cmd_derivatives(args: argparse.Namespace) -> list:
+    orders = tuple(int(t) for t in args.orders.split(","))
+    if any(o not in (1, 2, 3, 4) for o in orders):
+        raise ConfigError("orders must be a comma list from 1..4")
+    src = parse_source(args.source)
+    cfg = _quad_cfg(min(args.tol, 1e-12))
+    estimates = scalar_channel.divergence_derivatives_at_zero(src, orders, cfg)
     exact = scalar_channel.divergence_derivatives_from_moments(src)
     rows = []
     for est in estimates:
@@ -196,70 +174,56 @@ def cmd_derivatives(config: RunConfig) -> list:
     return rows
 
 
-def cmd_tones(config: RunConfig) -> list:
-    if not config.q_grid or not config.n_list:
-        raise ConfigError("tones needs a q grid and an n list")
-    law = parse_amplitude(config.amplitude)
-    cfg = _quad_cfg(config.tol)
-    return [_tone_point(law, n, q, cfg) for n in config.n_list for q in config.q_grid]
+def cmd_tones(args: argparse.Namespace) -> list:
+    q_grid = parse_q_grid(args.q_grid)
+    n_list = parse_n_list(args.n_list)
+    law = parse_amplitude(args.amplitude)
+    cfg = _quad_cfg(args.tol)
+    return [_tone_point(law, n, q, cfg) for n in n_list for q in q_grid]
 
 
-def cmd_kalman(config: RunConfig) -> list:
-    if not config.q_grid or not config.n_list:
-        raise ConfigError("kalman needs a q grid and an n list")
-    if config.dt_levels < 2:
+def cmd_kalman(args: argparse.Namespace) -> list:
+    q_grid = parse_q_grid(args.q_grid)
+    n_list = parse_n_list(args.n_list)
+    if args.dt_levels < 2:
         raise ConfigError("kalman needs at least 2 dt levels to extrapolate")
     rows = []
-    for n in config.n_list:
-        for q in config.q_grid:
+    for n in n_list:
+        for q in q_grid:
             target_cm = tone_channel.gaussian_cmmse(n, q)
             target_mm = tone_channel.gaussian_mmse_tone(n, q)
-            per_level = []
-            for level in range(config.dt_levels):
-                setup = ct_verify.KalmanSetup.from_steps(n, q, config.base_steps * 2**level)
-                cm = ct_verify.kalman_cmmse(setup)
-                mm = ct_verify.kalman_mmse(setup)
-                per_level.append((setup.dt, cm, mm))
-                rows.append(
-                    {
-                        "n": n,
-                        "q": q,
-                        "dt": setup.dt,
-                        "cmmse": cm,
-                        "mmse": mm,
-                        "cmmse_target": target_cm,
-                        "mmse_target": target_mm,
-                        "cmmse_gap": cm - target_cm,
-                        "mmse_gap": mm - target_mm,
-                    }
-                )
-            # first-order Richardson extrapolation from the two finest levels
-            (_, cm1, mm1), (_, cm2, mm2) = per_level[-2], per_level[-1]
-            cm0, mm0 = 2 * cm2 - cm1, 2 * mm2 - mm1
-            rows.append(
+            levels = []
+            for level in range(args.dt_levels):
+                setup = ct_verify.KalmanSetup(n, q, args.base_steps * 2**level)
+                cm, mm = ct_verify.kalman_cmmse(setup), ct_verify.kalman_mmse(setup)
+                levels.append((setup.dt, cm, mm))
+            # first-order Richardson extrapolation from the two finest levels, at dt = 0
+            (_, cm1, mm1), (_, cm2, mm2) = levels[-2:]
+            levels.append((0.0, 2 * cm2 - cm1, 2 * mm2 - mm1))
+            rows += [
                 {
                     "n": n,
                     "q": q,
-                    "dt": 0.0,
-                    "cmmse": cm0,
-                    "mmse": mm0,
+                    "dt": dt,
+                    "cmmse": cm,
+                    "mmse": mm,
                     "cmmse_target": target_cm,
                     "mmse_target": target_mm,
-                    "cmmse_gap": cm0 - target_cm,
-                    "mmse_gap": mm0 - target_mm,
+                    "cmmse_gap": cm - target_cm,
+                    "mmse_gap": mm - target_mm,
                 }
-            )
+                for dt, cm, mm in levels
+            ]
     return rows
 
 
-def cmd_mc_check(config: RunConfig) -> list:
-    if not config.q_grid:
-        raise ConfigError("mc-check needs a q grid")
-    src = parse_source(config.source)
-    cfg = _quad_cfg(config.tol)
+def cmd_mc_check(args: argparse.Namespace) -> list:
+    q_grid = parse_q_grid(args.q_grid)
+    src = parse_source(args.source)
+    cfg = _quad_cfg(args.tol)
     return [
-        _mc_point(config.source, src, q, cfg, config.samples, config.seed + i)
-        for i, q in enumerate(config.q_grid)
+        _mc_point(args.source, src, q, cfg, args.samples, args.seed + i)
+        for i, q in enumerate(q_grid)
     ]
 
 
@@ -288,12 +252,12 @@ def render_rows(rows: list, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _emit(rows: list, config: RunConfig) -> None:
-    text = render_rows(rows, config.fmt)
-    if config.out is None:
+def _emit(rows: list, args: argparse.Namespace) -> None:
+    text = render_rows(rows, args.fmt)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -307,101 +271,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default):
-        p.add_argument("--tol", type=float, default=tol_default)
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, run, tol=None):
+        p.set_defaults(run=run)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--out", default=None)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("scalar", help="mmse, expansions and divergence over a q grid")
     p.add_argument("--source", required=True)
     p.add_argument("--q-grid", required=True)
-    common(p, 1e-9)
+    common(p, cmd_scalar, 1e-9)
 
     p = sub.add_parser("derivatives", help="one-sided divergence derivatives at zero snr")
     p.add_argument("--source", required=True)
     p.add_argument("--orders", default="1,2,3,4")
-    common(p, 1e-12)
+    common(p, cmd_derivatives, 1e-12)
 
     p = sub.add_parser("tones", help="N-tone exact errors, closed forms, asymptotics")
     p.add_argument("--amplitude", default="unit")
     p.add_argument("--n-list", required=True)
     p.add_argument("--q-grid", required=True)
-    common(p, 1e-12)
+    common(p, cmd_tones, 1e-12)
 
     p = sub.add_parser("kalman", help="covariance-recursion check of the Gaussian tone errors")
     p.add_argument("--n-list", required=True)
     p.add_argument("--q-grid", required=True)
     p.add_argument("--base-steps", type=int, default=2048)
     p.add_argument("--dt-levels", type=int, default=3)
-    common(p, 1e-9)
+    common(p, cmd_kalman)
 
     p = sub.add_parser("mc-check", help="Monte Carlo oracle vs quadrature mmse")
     p.add_argument("--source", required=True)
     p.add_argument("--q-grid", required=True)
     p.add_argument("--samples", type=int, default=200_000)
-    common(p, 1e-9)
+    p.add_argument("--seed", type=int, default=0)
+    common(p, cmd_mc_check, 1e-9)
 
     return parser
 
 
-_COMMANDS = {
-    "scalar": cmd_scalar,
-    "derivatives": cmd_derivatives,
-    "tones": cmd_tones,
-    "kalman": cmd_kalman,
-    "mc-check": cmd_mc_check,
-}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = dict(
-        command=args.command,
-        tol=args.tol,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-    )
-    if hasattr(args, "source"):
-        kwargs["source"] = args.source
-    if hasattr(args, "q_grid"):
-        kwargs["q_grid"] = parse_q_grid(args.q_grid)
-    if hasattr(args, "n_list"):
-        kwargs["n_list"] = parse_n_list(args.n_list)
-    if hasattr(args, "amplitude"):
-        kwargs["amplitude"] = args.amplitude
-    if hasattr(args, "orders"):
-        orders = tuple(int(t) for t in args.orders.split(","))
-        if not orders or any(o not in (1, 2, 3, 4) for o in orders):
-            raise ConfigError("orders must be a comma list from 1..4")
-        kwargs["orders"] = orders
-    if hasattr(args, "samples"):
-        if args.samples < 10**4:
-            raise ConfigError("samples must be >= 1e4")
-        kwargs["samples"] = args.samples
-    if hasattr(args, "base_steps"):
-        kwargs["base_steps"] = args.base_steps
-        kwargs["dt_levels"] = args.dt_levels
-    return RunConfig(**kwargs)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        rows = _COMMANDS[config.command](config)
+        rows = args.run(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(rows, config)
+    _emit(rows, args)
     return EXIT_OK
 
 

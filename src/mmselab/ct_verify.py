@@ -12,6 +12,9 @@ Three tools, none of which share code with the quadrature modules:
   filtering covariance.
 - :func:`mc_scalar_mmse`: seeded Monte Carlo estimate of the scalar-channel
   error E[(X - E[X|Y])^2] with its standard error.
+
+The N tones have frequencies 1..N on the horizon ``HORIZON`` = 2 pi, which
+makes them orthogonal; neither enters the error formulas.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .scalar_channel import ScalarChannel, conditional_mean
 from .sources import AmplitudeLaw, ScalarSource
 
 __all__ = [
+    "HORIZON",
     "IllConditioned",
     "KalmanSetup",
     "McConfig",
@@ -40,6 +44,8 @@ __all__ = [
 
 _PSD_TOL = -1e-10
 
+HORIZON = 2.0 * math.pi
+
 
 class IllConditioned(NumericsError):
     """Covariance recursion lost positive semidefiniteness."""
@@ -47,37 +53,23 @@ class IllConditioned(NumericsError):
 
 @dataclass(frozen=True)
 class KalmanSetup:
-    """Time grid and tone configuration for the covariance recursion."""
+    """Tone count, snr and number of time steps of the covariance recursion."""
 
     n_tones: int
     q: float
-    dt: float
-    horizon: float = 2.0 * math.pi
-    frequencies: tuple = ()
+    n_steps: int
 
     def __post_init__(self) -> None:
         if self.n_tones < 1:
             raise ValueError("n_tones must be >= 1")
         if not (math.isfinite(self.q) and self.q >= 0):
             raise ValueError("snr must be finite and >= 0")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 100:
-            raise ValueError("horizon/dt must be an integer >= 100")
-        freqs = self.frequencies or tuple(range(1, self.n_tones + 1))
-        freqs = tuple(int(k) for k in freqs)
-        if len(set(freqs)) != self.n_tones or min(freqs) < 1:
-            raise ValueError("frequencies must be distinct positive integers")
-        object.__setattr__(self, "frequencies", freqs)
-
-    @classmethod
-    def from_steps(cls, n_tones: int, q: float, n_steps: int, horizon: float = 2.0 * math.pi):
-        return cls(n_tones=n_tones, q=q, dt=horizon / n_steps, horizon=horizon)
+        if self.n_steps < 100:
+            raise ValueError("n_steps must be >= 100")
 
     @property
-    def n_steps(self) -> int:
-        return round(self.horizon / self.dt)
+    def dt(self) -> float:
+        return HORIZON / self.n_steps
 
 
 @dataclass(frozen=True)
@@ -113,9 +105,9 @@ def _assert_psd(p_cov: np.ndarray) -> None:
 def _basis_matrix(setup: KalmanSetup) -> np.ndarray:
     """Rows h(t_j) = sqrt(1/T)[cos(w_k t_j).., sin(w_k t_j)..] at left endpoints."""
     t = np.arange(setup.n_steps) * setup.dt
-    omega = 2.0 * math.pi * np.asarray(setup.frequencies) / setup.horizon
+    omega = 2.0 * math.pi * np.arange(1, setup.n_tones + 1) / HORIZON
     phases = np.outer(t, omega)
-    return np.hstack((np.cos(phases), np.sin(phases))) / math.sqrt(setup.horizon)
+    return np.hstack((np.cos(phases), np.sin(phases))) / math.sqrt(HORIZON)
 
 
 def simulate_path(setup: KalmanSetup, law: AmplitudeLaw, rng: np.random.Generator) -> PathSample:
@@ -124,13 +116,13 @@ def simulate_path(setup: KalmanSetup, law: AmplitudeLaw, rng: np.random.Generato
     Increments are sqrt(q) xi(t_j) dt + N(0, dt); the signal uses one draw
     of amplitudes/phases per path, energy-normalized over the tone count.
     """
-    n = setup.n_tones
+    n, dt = setup.n_tones, setup.dt
     coeff = law.sample_coefficients(rng, n) / math.sqrt(n)  # per-tone (cos, sin) weights
     basis = _basis_matrix(setup) * math.sqrt(2.0)
     signal = basis @ np.concatenate((coeff[:, 0], coeff[:, 1]))
-    noise = rng.standard_normal(setup.n_steps) * math.sqrt(setup.dt)
-    increments = math.sqrt(setup.q) * signal * setup.dt + noise
-    times = np.arange(setup.n_steps) * setup.dt
+    noise = rng.standard_normal(setup.n_steps) * math.sqrt(dt)
+    increments = math.sqrt(setup.q) * signal * dt + noise
+    times = np.arange(setup.n_steps) * dt
     return PathSample(times=times, increments=increments, signal=signal)
 
 
@@ -143,10 +135,10 @@ def _riccati(setup: KalmanSetup) -> tuple:
     error integrates h P_j h' over time with the running filtered
     covariance; the non-causal error reuses the final covariance.
     """
-    n = setup.n_tones
+    n, dt = setup.n_tones, setup.dt
     dim = 2 * n
     basis = _basis_matrix(setup)
-    scale = math.sqrt(setup.q * setup.dt)
+    scale = math.sqrt(setup.q * dt)
     p_cov = np.eye(dim) / n
     causal = 0.0
     for row in basis:
@@ -156,8 +148,8 @@ def _riccati(setup: KalmanSetup) -> tuple:
         p_cov = p_cov - np.outer(gain, pc)
         p_cov = 0.5 * (p_cov + p_cov.T)
         _assert_psd(p_cov)
-        causal += float(row @ p_cov @ row) * setup.dt
-    smoothed = float(np.einsum("ij,jk,ik->", basis, p_cov, basis)) * setup.dt
+        causal += float(row @ p_cov @ row) * dt
+    smoothed = float(np.einsum("ij,jk,ik->", basis, p_cov, basis)) * dt
     return causal, smoothed
 
 

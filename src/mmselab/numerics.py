@@ -8,7 +8,7 @@ one-sided finite differences on a geometric step schedule with a
 Richardson/Ridders extrapolation tableau.
 
 Infinite integration limits go to QUADPACK's infinite-range rule.  The
-channel integrals pass finite domains instead, cut ``tail_width`` noise
+channel integrals pass finite domains instead, cut ``TAIL_WIDTH`` noise
 standard deviations beyond the output's bulk: their integrands are
 Gaussian-tailed, so the truncation error is far below the requested
 tolerances.
@@ -28,13 +28,14 @@ __all__ = [
     "NonFinite",
     "StepUnderflow",
     "QuadratureConfig",
+    "TAIL_WIDTH",
+    "TABLEAU_LEVELS",
     "DEFAULT_QUADRATURE",
     "DIVERGENCE_QUADRATURE",
     "ValueWithError",
     "DerivativeEstimate",
     "integrate",
     "derivative_at_zero",
-    "kl_integrand",
     "kl_integrand_from_logs",
 ]
 
@@ -66,26 +67,28 @@ class QuadratureConfig:
         ``err <= max(abs_tol, rel_tol * |value|)``.
     max_subdivisions : int
         Adaptive panel budget.
-    tail_width : float
-        Number of noise standard deviations beyond the output's bulk at
-        which the channel integrals cut their domains.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     max_subdivisions: int = 200
-    tail_width: float = 10.0
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.tail_width < 6:
-            raise ValueError("tail_width must be >= 6")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+
+# Noise standard deviations beyond the output's bulk at which the channel
+# integrals cut their domains.
+TAIL_WIDTH = 10.0
+
+# Rows of the Richardson tableau of derivative_at_zero: the halving
+# schedule h, h/2, .., h/32.
+TABLEAU_LEVELS = 6
 
 # Divergence values feed fourth-order difference quotients, which amplify
 # relative noise by the stencil weights; they need the tight budget.
@@ -203,16 +206,15 @@ def derivative_at_zero(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
     initial_step: float = 0.2,
-    levels: int = 6,
     value_at_zero: float = 0.0,
 ) -> DerivativeEstimate:
     """One-sided k-th derivative of ``g`` at 0, for ``g`` defined on ``q >= 0``.
 
     Forward differences on nodes ``0, h, .., k*h`` (with ``g(0)`` supplied
     exactly through ``value_at_zero``) are first-order accurate with a full
-    integer error series, so a Richardson tableau over the halving schedule
-    ``h, h/2, h/4, ..`` gains one order per column.  The entry with the
-    smallest Ridders-style error indicator is returned.
+    integer error series, so a Richardson tableau over the ``TABLEAU_LEVELS``
+    halving steps ``h, h/2, h/4, ..`` gains one order per column.  The entry
+    with the smallest Ridders-style error indicator is returned.
 
     The reported ``error_estimate`` is the maximum of the tableau indicator
     and the noise amplification bound ``sum|c_j| * noise(g(j h)) / h^k``
@@ -234,8 +236,6 @@ def derivative_at_zero(
         raise ValueError("order must be in 1..4")
     if not initial_step > 0:
         raise ValueError("initial_step must be positive")
-    if levels < 2:
-        raise ValueError("need at least 2 levels to extrapolate")
 
     coeffs = _FORWARD_STENCILS[order]
     cache: dict[float, float] = {0.0: float(value_at_zero)}
@@ -248,7 +248,7 @@ def derivative_at_zero(
             cache[x] = v
         return cache[x]
 
-    steps = [initial_step / 2.0**i for i in range(levels)]
+    steps = [initial_step / 2.0**i for i in range(TABLEAU_LEVELS)]
     tableau: list[list[float]] = []
     best_value = math.nan
     best_err = math.inf
@@ -266,7 +266,7 @@ def derivative_at_zero(
                 # Coarse-step rows can agree with each other while still far
                 # from the asymptotic regime, so only the two deepest rows
                 # compete for the returned entry.
-                if i >= levels - 2:
+                if i >= TABLEAU_LEVELS - 2:
                     err = max(abs(row[m] - row[m - 1]), abs(row[m] - prev_row[m - 1]))
                     if err < best_err:
                         best_err = err
@@ -300,30 +300,17 @@ def derivative_at_zero(
     )
 
 
-def kl_integrand(p: float, g: float) -> float:
-    """Pointwise term ``p*ln(p/g) - p + g`` of a divergence integral.
+def kl_integrand_from_logs(log_p: float, log_g: float) -> float:
+    """Pointwise divergence term ``p*ln(p/g) - p + g`` from ``ln p`` and ``ln g``.
 
     Nonnegative for all ``p, g >= 0`` and identical in integral to
     ``p*ln(p/g)`` whenever both densities are normalized, which is what
-    makes relative-tolerance quadrature of divergences possible.  Densities
-    below the double underflow floor contribute ``g`` (the limit as
-    ``p -> 0``); a vanishing reference density makes the term infinite.
-    """
-    if p < 1e-300:
-        return g
-    if g < 1e-300:
-        return math.inf
-    return kl_integrand_from_logs(math.log(p), math.log(g))
-
-
-def kl_integrand_from_logs(log_p: float, log_g: float) -> float:
-    """Same as :func:`kl_integrand` with both densities given in log form.
-
-    Preferred whenever the caller can form the logs without exponentiating
-    first (Bessel kernels, mixtures in log space, far tails): the
-    near-cancellation at ``p ~ g`` then happens in the well-conditioned
-    ``delta = expm1(log_p - log_g)`` and the series below, and either
-    density may underflow harmlessly.
+    makes relative-tolerance quadrature of divergences possible.  Taking
+    the logs lets the caller skip exponentiating first (Bessel kernels,
+    mixtures in log space, far tails): the near-cancellation at ``p ~ g``
+    then happens in the well-conditioned ``delta = expm1(log_p - log_g)``
+    and the series below, and either density may underflow harmlessly (a
+    vanished ``p`` contributes ``g``, the limit as ``p -> 0``).
     """
     g = math.exp(log_g) if log_g > -745.0 else 0.0
     log_ratio = log_p - log_g

@@ -36,7 +36,9 @@ import numpy as np
 from .numerics import (
     DEFAULT_QUADRATURE,
     DIVERGENCE_QUADRATURE,
+    TAIL_WIDTH,
     DerivativeEstimate,
+    NumericsError,
     QuadratureConfig,
     _check_snr,
     derivative_at_zero,
@@ -47,7 +49,6 @@ from .sources import ScalarSource
 
 __all__ = [
     "ScalarChannel",
-    "output_density",
     "conditional_mean",
     "mmse",
     "gaussian_mmse",
@@ -74,11 +75,6 @@ class ScalarChannel:
             raise ValueError(f"source {self.source.name!r} is not standardized")
 
 
-def output_density(ch: ScalarChannel, y):
-    """Density of Y = W + sqrt(q) X at y (vectorized)."""
-    return ch.source.output_density(y, ch.q)
-
-
 def conditional_mean(ch: ScalarChannel, y):
     """Bayes estimate E[X | Y = y] (vectorized); 0 where the density underflows."""
     p = ch.source.output_density(y, ch.q)
@@ -88,8 +84,26 @@ def conditional_mean(ch: ScalarChannel, y):
     return float(out) if np.ndim(y) == 0 else out
 
 
-def _domain_radius(src: ScalarSource, q: float, tail: float) -> float:
-    return tail * math.sqrt(1.0 + q) + math.sqrt(q) * src.bulk_radius(tail)
+def _domain_radius(src: ScalarSource, q: float) -> float:
+    return TAIL_WIDTH * math.sqrt(1.0 + q) + math.sqrt(q) * src.bulk_radius()
+
+
+def _in_range(quantity: str, value: float, err: float, ch: ScalarChannel, hi: float) -> float:
+    """``value``, checked to lie in [0, hi] within its error bound ``err`` plus 4 ulp.
+
+    Both quantities are bounded for every law (mmse by the Gaussian input's
+    error, D by the entropy gap of the noise), so a value beyond the slack
+    is a failed integral, not a result.  A value inside the slack but below
+    0 is the rounding of a vanishing quantity (far-apart atoms at high q)
+    and comes back as 0.
+    """
+    slack = err + 4.0 * math.ulp(max(hi, 1.0))
+    if not -slack <= value <= hi + slack:
+        raise NumericsError(
+            f"{quantity} {value:.17g} of law {ch.source.name!r} at q={ch.q!r} lies outside"
+            f" [0, {hi:.17g}] by more than its error bound {err:.3e}"
+        )
+    return max(0.0, value)
 
 
 def _panel_breakpoints(src: ScalarSource, q: float):
@@ -115,11 +129,18 @@ def _panel_breakpoints(src: ScalarSource, q: float):
 
 
 def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Minimum mean-square error of estimating X from Y, in [0, 1].
+    """Minimum mean-square error of estimating X from Y, in [0, 1/(1+q)].
 
     Uses the conditional-mean identity
     ``mmse = EX^2 - E[(E[X|Y])^2] = 1 - int cross^2 / p dy``
     so only a single one-dimensional integral is needed.
+
+    Raises
+    ------
+    NumericsError
+        If the value lies outside [0, 1/(1+q)] by more than the integral's
+        error bound, besides the failures of
+        :func:`~mmselab.numerics.integrate`.
     """
     q = ch.q
     if q == 0.0:
@@ -133,9 +154,9 @@ def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float
         a = float(src.cross_density(y, q))
         return a * a / p
 
-    radius = _domain_radius(src, q, cfg.tail_width)
-    est, _ = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
-    return min(1.0, max(0.0, 1.0 - est))
+    radius = _domain_radius(src, q)
+    est, err = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
+    return _in_range("mmse", 1.0 - est, err, ch, gaussian_mmse(q))
 
 
 def gaussian_mmse(q: float) -> float:
@@ -178,6 +199,13 @@ def nongaussianity(ch: ScalarChannel, cfg: QuadratureConfig = DIVERGENCE_QUADRAT
     in value because both densities are normalized), so the requested
     relative tolerance applies to the divergence itself even when it is
     orders of magnitude smaller than either density.
+
+    Raises
+    ------
+    NumericsError
+        If the value lies outside [0, ln(1+q)/2] by more than the
+        integral's error bound, besides the failures of
+        :func:`~mmselab.numerics.integrate`.
     """
     q = ch.q
     if q == 0.0:
@@ -196,9 +224,9 @@ def nongaussianity(ch: ScalarChannel, cfg: QuadratureConfig = DIVERGENCE_QUADRAT
             return g
         return kl_integrand_from_logs(math.log(p), log_g)
 
-    radius = _domain_radius(src, q, cfg.tail_width)
-    est, _ = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
-    return max(0.0, est)
+    radius = _domain_radius(src, q)
+    est, err = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
+    return _in_range("nongaussianity", est, err, ch, 0.5 * math.log1p(q))
 
 
 def divergence_derivatives_at_zero(
@@ -207,7 +235,6 @@ def divergence_derivatives_at_zero(
     cfg: QuadratureConfig = DIVERGENCE_QUADRATURE,
     *,
     initial_step: float = 0.05,
-    levels: int = 6,
 ) -> list[DerivativeEstimate]:
     """One-sided derivatives of q -> nongaussianity(src, q) at q = 0.
 
@@ -230,6 +257,5 @@ def divergence_derivatives_at_zero(
         return cache[q]
 
     return [
-        derivative_at_zero(curve, order, cfg, initial_step=initial_step, levels=levels)
-        for order in orders
+        derivative_at_zero(curve, order, cfg, initial_step=initial_step) for order in orders
     ]

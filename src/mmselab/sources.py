@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .numerics import TAIL_WIDTH, QuadratureConfig, integrate
 
 __all__ = [
     "ZeroVariance",
@@ -244,18 +244,18 @@ class ScalarSource:
             return _custom_kernel(self, y, q, weight=lambda x: x)
         raise ValueError(f"unknown source kind {self.kind!r}")
 
-    def bulk_radius(self, tail_width: float) -> float:
-        """Radius B with P(|X| > B) negligible at the ``tail_width`` scale."""
+    def bulk_radius(self) -> float:
+        """Radius B with P(|X| > B) negligible at the ``TAIL_WIDTH`` scale."""
         if self.kind == "mixture":
-            return max(abs(mu) + tail_width * s for _, mu, s in self.components)
+            return max(abs(mu) + TAIL_WIDTH * s for _, mu, s in self.components)
         if self.kind == "uniform":
             lo, hi = self.params
             return max(abs(lo), abs(hi))
         if self.kind == "exponential":
             loc, s = self.params
-            return abs(loc) + s * (0.5 * tail_width**2 + tail_width)
+            return abs(loc) + s * (0.5 * TAIL_WIDTH**2 + TAIL_WIDTH)
         lo, hi = self.support
-        cap = 0.5 * tail_width**2
+        cap = 0.5 * TAIL_WIDTH**2
         return min(max(abs(lo), abs(hi)), cap)
 
 
@@ -326,11 +326,10 @@ def _custom_kernel(src: ScalarSource, y: np.ndarray, q: float, weight) -> np.nda
     scalar = y.ndim == 0
     ys = np.atleast_1d(y)
     out = np.empty_like(ys, dtype=float)
-    tail = DEFAULT_QUADRATURE.tail_width
     for i, yv in enumerate(ys):
         if q > 0:
-            a = max(lo, (yv - tail) / sq)
-            b = min(hi, (yv + tail) / sq)
+            a = max(lo, (yv - TAIL_WIDTH) / sq)
+            b = min(hi, (yv + TAIL_WIDTH) / sq)
         else:
             a, b = lo, hi
         if not a < b:

@@ -36,6 +36,7 @@ from scipy import special as _sp
 
 from .numerics import (
     DIVERGENCE_QUADRATURE,
+    TAIL_WIDTH,
     QuadratureConfig,
     _check_snr,
     integrate,
@@ -113,7 +114,7 @@ def tone_divergence(
         return kl_integrand_from_logs(log_p, log_g)
 
     a_max = max(a for a, _ in mags)
-    domain = (0.0, sq * a_max + cfg.tail_width * math.sqrt(half_var))
+    domain = (0.0, sq * a_max + TAIL_WIDTH * math.sqrt(half_var))
     return max(0.0, integrate(integrand, domain, cfg).value)
 
 
@@ -162,7 +163,7 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
         return r * math.exp(log_f) * est * est
 
     a_max = max(a for a, _ in mags)
-    return 1.0 - integrate(integrand, (0.0, sq * a_max + cfg.tail_width), cfg).value
+    return 1.0 - integrate(integrand, (0.0, sq * a_max + TAIL_WIDTH), cfg).value
 
 
 def gaussian_cmmse(n: int, q: float) -> float:

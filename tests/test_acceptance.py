@@ -149,8 +149,8 @@ def test_criterion_6_kalman_reproduces_closed_forms():
     worst = 0.0
     details = []
     for n, q in ((1, 2.0), (2, 2.0), (4, 1.0)):
-        coarse = KalmanSetup.from_steps(n, q, 4096)
-        fine = KalmanSetup.from_steps(n, q, 8192)
+        coarse = KalmanSetup(n, q, 4096)
+        fine = KalmanSetup(n, q, 8192)
         cm = 2 * kalman_cmmse(fine) - kalman_cmmse(coarse)
         mm = 2 * kalman_mmse(fine) - kalman_mmse(coarse)
         gap_cm = abs(cm - gaussian_cmmse(n, q))

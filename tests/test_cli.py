@@ -10,12 +10,6 @@ from mmselab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
-    RunConfig,
-    cmd_derivatives,
-    cmd_kalman,
-    cmd_mc_check,
-    cmd_scalar,
-    cmd_tones,
     main,
     parse_n_list,
     parse_q_grid,
@@ -32,6 +26,12 @@ def run_cli(args, tmp_path, name="out.csv"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def derivative_rows(source, tmp_path):
+    code, out = run_cli(["derivatives", "--source", source], tmp_path, f"{source}.csv")
+    assert code == EXIT_OK
+    return [{k: float(v) for k, v in row.items()} for row in read_csv(out)]
 
 
 def test_parse_q_grid():
@@ -105,8 +105,8 @@ def test_unreachable_tolerance_exits_3(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_derivatives_table():
-    rows = cmd_derivatives(RunConfig(command="derivatives", source="rademacher", tol=1e-12))
+def test_derivatives_table(tmp_path):
+    rows = derivative_rows("rademacher", tmp_path)
     by_order = {row["order"]: row for row in rows}
     for k in (1, 2, 3):
         assert abs(by_order[k]["value"]) <= max(1e-4, 10 * by_order[k]["error_estimate"])
@@ -114,18 +114,18 @@ def test_derivatives_table():
     assert by_order[4]["value"] == pytest.approx(2.0, rel=0.05)
     assert by_order[4]["moment_formula"] == pytest.approx(2.0)
 
-    rows_u = cmd_derivatives(RunConfig(command="derivatives", source="uniform", tol=1e-12))
+    rows_u = derivative_rows("uniform", tmp_path)
     assert rows_u[-1]["value"] == pytest.approx(0.72, rel=0.05)
 
-    rows_g = cmd_derivatives(RunConfig(command="derivatives", source="gaussian", tol=1e-12))
+    rows_g = derivative_rows("gaussian", tmp_path)
     for row in rows_g:
         assert abs(row["value"]) <= 1e-5
 
 
 @pytest.mark.parametrize("source", ["expstd", "mix:0.3,-1.0,0.5,2.0,1.2"])
-def test_derivatives_reference_skewed_laws(source):
+def test_derivatives_reference_skewed_laws(source, tmp_path):
     # the reference column holds the complete values, m3^2/2 at order 3
-    rows = cmd_derivatives(RunConfig(command="derivatives", source=source, tol=1e-12))
+    rows = derivative_rows(source, tmp_path)
     assert [row["order"] for row in rows] == [1, 2, 3, 4]
     for row in rows:
         assert row["abs_difference"] <= max(1e-4, 10 * row["error_estimate"]), row
@@ -232,21 +232,15 @@ def test_kalman_gap_shrinks_linearly(tmp_path):
     assert abs(float(extrapolated["mmse_gap"])) <= 1e-3
 
 
-def test_mc_check_rows():
-    cfg = RunConfig(
-        command="mc-check",
-        source="uniform",
-        q_grid=(0.5,),
-        samples=50_000,
-        seed=9,
-        tol=1e-9,
-    )
-    rows = cmd_mc_check(cfg)
-    assert rows[0]["n_sigmas"] <= 3.0
+def test_mc_check_rows(tmp_path):
+    args = ["mc-check", "--source", "uniform", "--q-grid", "0.5", "--samples", "50000"]
+    code, out = run_cli(args + ["--seed", "9"], tmp_path)
+    assert code == EXIT_OK
+    assert float(read_csv(out)[0]["n_sigmas"]) <= 3.0
 
 
 def test_byte_identical_reruns(tmp_path):
-    args = ["scalar", "--source", "rademacher", "--q-grid", "0.25,1", "--seed", "3"]
+    args = ["scalar", "--source", "rademacher", "--q-grid", "0.25,1"]
     _, out1 = run_cli(args, tmp_path, "a.csv")
     _, out2 = run_cli(args, tmp_path, "b.csv")
     assert out1.read_bytes() == out2.read_bytes()
@@ -277,14 +271,32 @@ def test_render_rows_empty():
     assert json.loads(render_rows([], "json")) == []
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(command="scalar", tol=-1.0)
-    with pytest.raises(ConfigError):
-        RunConfig(command="scalar", fmt="yaml")
-    with pytest.raises(ConfigError):
-        cmd_scalar(RunConfig(command="scalar", q_grid=()))
-    with pytest.raises(ConfigError):
-        cmd_tones(RunConfig(command="tones", q_grid=(1.0,), n_list=()))
-    with pytest.raises(ConfigError):
-        cmd_kalman(RunConfig(command="kalman", q_grid=(1.0,), n_list=(1,), dt_levels=1))
+def test_config_validation(capsys):
+    scalar = ["scalar", "--source", "rademacher"]
+    assert main(scalar + ["--q-grid", "1", "--tol", "-1"]) == EXIT_CONFIG
+    assert "tolerances must be positive" in capsys.readouterr().err
+    assert main(scalar + ["--q-grid", ""]) == EXIT_CONFIG
+    assert main(["tones", "--n-list", "", "--q-grid", "1"]) == EXIT_CONFIG
+    kalman = ["kalman", "--n-list", "1", "--q-grid", "1"]
+    assert main(kalman + ["--dt-levels", "1"]) == EXIT_CONFIG
+    assert main(kalman + ["--base-steps", "50"]) == EXIT_CONFIG
+    mc_check = ["mc-check", "--source", "uniform", "--q-grid", "1"]
+    assert main(mc_check + ["--samples", "100"]) == EXIT_CONFIG
+    assert main(["derivatives", "--source", "rademacher", "--orders", "5"]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(scalar + ["--q-grid", "1", "--format", "yaml"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scalar", "--source", "rademacher", "--q-grid", "1", "--seed", "3"],
+        ["kalman", "--n-list", "1", "--q-grid", "1", "--tol", "1e-9"],
+    ],
+    ids=["scalar-seed", "kalman-tol"],
+)
+def test_flags_that_enter_no_formula_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG

@@ -19,14 +19,12 @@ from mmselab.tone_channel import gaussian_cmmse, gaussian_mmse_tone
 
 def test_setup_validation():
     with pytest.raises(ValueError):
-        KalmanSetup(n_tones=1, q=1.0, dt=0.1)  # 2*pi/0.1 not an integer
+        KalmanSetup(1, 1.0, 64)  # fewer than 100 steps
     with pytest.raises(ValueError):
-        KalmanSetup.from_steps(1, 1.0, 64)  # fewer than 100 steps
-    with pytest.raises(ValueError):
-        KalmanSetup.from_steps(0, 1.0, 256)
-    s = KalmanSetup.from_steps(2, 1.0, 512)
+        KalmanSetup(0, 1.0, 256)
+    s = KalmanSetup(2, 1.0, 512)
     assert s.n_steps == 512
-    assert s.frequencies == (1, 2)
+    assert s.dt == 2 * math.pi / 512
 
 
 def test_mc_config_validation():
@@ -35,7 +33,7 @@ def test_mc_config_validation():
 
 
 def test_simulate_path_pure_noise_at_zero_snr():
-    setup = KalmanSetup.from_steps(1, 0.0, 4096)
+    setup = KalmanSetup(1, 0.0, 4096)
     path = simulate_path(setup, unit_amplitude(), np.random.default_rng(9))
     assert path.increments.shape == (4096,)
     assert np.var(path.increments) == pytest.approx(setup.dt, rel=0.1)
@@ -43,7 +41,7 @@ def test_simulate_path_pure_noise_at_zero_snr():
 
 
 def test_simulate_path_reproducible():
-    setup = KalmanSetup.from_steps(2, 1.5, 1024)
+    setup = KalmanSetup(2, 1.5, 1024)
     a = simulate_path(setup, unit_amplitude(), np.random.default_rng(4))
     b = simulate_path(setup, unit_amplitude(), np.random.default_rng(4))
     np.testing.assert_array_equal(a.increments, b.increments)
@@ -51,7 +49,7 @@ def test_simulate_path_reproducible():
 
 
 def test_simulate_path_drift_matches_drawn_signal():
-    setup = KalmanSetup.from_steps(1, 4.0, 8192)
+    setup = KalmanSetup(1, 4.0, 8192)
     path = simulate_path(setup, unit_amplitude(), np.random.default_rng(21))
     # unit amplitude, N=1: signal energy is exactly 1 on the horizon
     energy = float(np.sum(path.signal**2) * setup.dt)
@@ -62,7 +60,7 @@ def test_simulate_path_drift_matches_drawn_signal():
 
 
 def test_gaussian_pair_path_statistics():
-    setup = KalmanSetup.from_steps(4, 1.0, 512)
+    setup = KalmanSetup(4, 1.0, 512)
     rng = np.random.default_rng(3)
     energies = [
         float(np.sum(simulate_path(setup, gaussian_pair_amplitude(), rng).signal ** 2) * setup.dt)
@@ -72,15 +70,15 @@ def test_gaussian_pair_path_statistics():
 
 
 def test_kalman_zero_snr_returns_energy():
-    setup = KalmanSetup.from_steps(2, 0.0, 256)
+    setup = KalmanSetup(2, 0.0, 256)
     assert kalman_cmmse(setup) == pytest.approx(1.0, rel=1e-12)
     assert kalman_mmse(setup) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,q", [(1, 2.0), (2, 2.0), (4, 1.0)])
 def test_kalman_matches_closed_forms_after_extrapolation(n, q):
-    coarse = KalmanSetup.from_steps(n, q, 4096)
-    fine = KalmanSetup.from_steps(n, q, 8192)
+    coarse = KalmanSetup(n, q, 4096)
+    fine = KalmanSetup(n, q, 8192)
     cm = 2 * kalman_cmmse(fine) - kalman_cmmse(coarse)
     mm = 2 * kalman_mmse(fine) - kalman_mmse(coarse)
     assert cm == pytest.approx(gaussian_cmmse(n, q), abs=1e-3)
@@ -91,7 +89,7 @@ def test_kalman_first_order_in_dt():
     n, q = 1, 2.0
     gaps = []
     for steps in (1024, 2048, 4096):
-        setup = KalmanSetup.from_steps(n, q, steps)
+        setup = KalmanSetup(n, q, steps)
         gaps.append(abs(kalman_cmmse(setup) - gaussian_cmmse(n, q)))
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.1)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.1)
@@ -99,13 +97,13 @@ def test_kalman_first_order_in_dt():
 
 def test_kalman_causal_dominates_noncausal():
     for steps in (512, 1024):
-        setup = KalmanSetup.from_steps(2, 3.0, steps)
+        setup = KalmanSetup(2, 3.0, steps)
         assert kalman_cmmse(setup) >= kalman_mmse(setup)
 
 
 def test_covariance_stays_psd():
     # a deliberately coarse, high-snr run still keeps the recursion PSD
-    setup = KalmanSetup.from_steps(4, 50.0, 256)
+    setup = KalmanSetup(4, 50.0, 256)
     assert kalman_cmmse(setup) > 0.0
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmselab.numerics import (
@@ -13,7 +13,6 @@ from mmselab.numerics import (
     StepUnderflow,
     derivative_at_zero,
     integrate,
-    kl_integrand,
     kl_integrand_from_logs,
 )
 
@@ -29,8 +28,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tail_width=4.0)
 
 
 def test_normal_density_normalizes():
@@ -96,6 +93,14 @@ _COEFF = st.one_of(st.just(0.0), st.floats(0.01, 8.0), st.floats(-8.0, -0.01))
     coeffs=st.lists(_COEFF, min_size=7, max_size=7),
     order=st.integers(1, 4),
 )
+# Known misses of the tableau: -1.56e-6 +- 1.6e-16 against 0, and a
+# StepUnderflow ("tableau accuracy 0").  Strict: drop the marks once fixed.
+@example(coeffs=[0.0, 0.0, 0.0, 0.0, 0.0, 1.9375, -5.0], order=1).xfail(
+    raises=AssertionError, reason="error estimate misses the value"
+)
+@example(coeffs=[-5.0, 0.0, 1.9375, 0.0, 0.0, 0.0, 0.0], order=1).xfail(
+    raises=StepUnderflow, reason="spurious StepUnderflow"
+)
 def test_derivative_honest_on_polynomials(coeffs, order):
     # degree <= 6 polynomial: the tableau removes the whole truncation
     # series, so the estimate must sit inside the reported error bound
@@ -122,22 +127,18 @@ def test_derivative_input_validation():
         derivative_at_zero(lambda q: q, 5)
     with pytest.raises(ValueError):
         derivative_at_zero(lambda q: q, 1, initial_step=-0.1)
-    with pytest.raises(ValueError):
-        derivative_at_zero(lambda q: q, 1, levels=1)
 
 
 def test_kl_integrand_matches_plain_form():
     p, g = 0.31, 0.27
     expected = p * math.log(p / g) - p + g
-    assert kl_integrand(p, g) == pytest.approx(expected, rel=1e-14)
     assert kl_integrand_from_logs(math.log(p), math.log(g)) == pytest.approx(
         expected, rel=1e-14
     )
 
 
 def test_kl_integrand_nonnegative_and_limits():
-    assert kl_integrand(0.0, 0.4) == pytest.approx(0.4)
-    assert kl_integrand(0.4, 0.4) == 0.0
+    assert kl_integrand_from_logs(math.log(0.4), math.log(0.4)) == 0.0
     assert kl_integrand_from_logs(-800.0, math.log(0.2)) == pytest.approx(0.2)
     assert kl_integrand_from_logs(math.log(0.2), -800.0) > 0
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mmselab.numerics import QuadratureConfig
+from mmselab import scalar_channel
+from mmselab.numerics import NumericsError, QuadratureConfig, ValueWithError
 from mmselab.scalar_channel import (
     ScalarChannel,
     conditional_mean,
@@ -14,7 +15,6 @@ from mmselab.scalar_channel import (
     mmse,
     mmse_taylor3,
     nongaussianity,
-    output_density,
 )
 from mmselab.sources import (
     ScalarSource,
@@ -58,15 +58,14 @@ def test_channel_validation():
 
 def test_output_density_examples():
     # gaussian input at q=1: output is N(0,2)
-    ch = ScalarChannel(gaussian(), 1.0)
-    assert output_density(ch, 0.0) == pytest.approx(1.0 / math.sqrt(4 * math.pi), rel=1e-12)
+    assert gaussian().output_density(0.0, 1.0) == pytest.approx(
+        1.0 / math.sqrt(4 * math.pi), rel=1e-12
+    )
     # at q=0 the output is the noise for any source
-    ch0 = ScalarChannel(rademacher(), 0.0)
     for y in (-1.3, 0.0, 2.2):
-        assert output_density(ch0, y) == pytest.approx(_PHI(y), rel=1e-12)
+        assert rademacher().output_density(y, 0.0) == pytest.approx(_PHI(y), rel=1e-12)
     # two-atom mixture arithmetic
-    ch1 = ScalarChannel(rademacher(), 1.0)
-    assert output_density(ch1, 0.0) == pytest.approx(_PHI(1.0), rel=1e-12)
+    assert rademacher().output_density(0.0, 1.0) == pytest.approx(_PHI(1.0), rel=1e-12)
 
 
 def test_conditional_mean_closed_forms():
@@ -287,6 +286,19 @@ def test_error_and_divergence_bounds_over_snr(src):
         m, d = mmse(ch), nongaussianity(ch)
         assert 0.0 <= m <= 1.0 / (1.0 + q) + 1e-9, (q, m)
         assert 0.0 <= d <= 0.5 * math.log1p(q), (q, d)
+
+
+@pytest.mark.parametrize("value", [1.5, -0.5])
+def test_out_of_range_integral_raises(monkeypatch, value):
+    # each value puts both mmse = 1 - value and D = value outside their bounds
+    # at q = 1, [0, 1/2] and [0, ln(2)/2], by far more than the error 1e-12
+    fake = lambda *args, **kwargs: ValueWithError(value, 1e-12)  # noqa: E731
+    monkeypatch.setattr(scalar_channel, "integrate", fake)
+    ch = ScalarChannel(rademacher(), 1.0)
+    with pytest.raises(NumericsError, match=r"mmse .* law 'rademacher' at q=1\.0"):
+        mmse(ch)
+    with pytest.raises(NumericsError, match=r"nongaussianity .* law 'rademacher' at q=1\.0"):
+        nongaussianity(ch)
 
 
 @pytest.mark.parametrize("src", (rademacher(),) + ATOM_LAWS, ids=lambda src: src.name)
