@@ -38,9 +38,9 @@ from .numerics import (
     DIVERGENCE_QUADRATURE,
     TAIL_WIDTH,
     DerivativeEstimate,
-    NumericsError,
     QuadratureConfig,
     _check_snr,
+    _in_range,
     derivative_at_zero,
     integrate,
     kl_integrand_from_logs,
@@ -88,24 +88,6 @@ def _domain_radius(src: ScalarSource, q: float) -> float:
     return TAIL_WIDTH * math.sqrt(1.0 + q) + math.sqrt(q) * src.bulk_radius()
 
 
-def _in_range(quantity: str, value: float, err: float, ch: ScalarChannel, hi: float) -> float:
-    """``value``, checked to lie in [0, hi] within its error bound ``err`` plus 4 ulp.
-
-    Both quantities are bounded for every law (mmse by the Gaussian input's
-    error, D by the entropy gap of the noise), so a value beyond the slack
-    is a failed integral, not a result.  A value inside the slack but below
-    0 is the rounding of a vanishing quantity (far-apart atoms at high q)
-    and comes back as 0.
-    """
-    slack = err + 4.0 * math.ulp(max(hi, 1.0))
-    if not -slack <= value <= hi + slack:
-        raise NumericsError(
-            f"{quantity} {value:.17g} of law {ch.source.name!r} at q={ch.q!r} lies outside"
-            f" [0, {hi:.17g}] by more than its error bound {err:.3e}"
-        )
-    return max(0.0, value)
-
-
 def _panel_breakpoints(src: ScalarSource, q: float):
     """Panel breakpoints around the sharp features of the output density.
 
@@ -147,16 +129,14 @@ def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float
         return 1.0
     src = ch.source
 
-    def integrand(y: float) -> float:
-        p = float(src.output_density(y, q))
-        if p < _P_FLOOR:
-            return 0.0
-        a = float(src.cross_density(y, q))
-        return a * a / p
+    def integrand(y: np.ndarray) -> np.ndarray:
+        p = src.output_density(y, q)
+        a = src.cross_density(y, q)
+        return np.divide(a * a, p, out=np.zeros_like(p), where=p >= _P_FLOOR)
 
     radius = _domain_radius(src, q)
     est, err = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
-    return _in_range("mmse", 1.0 - est, err, ch, gaussian_mmse(q))
+    return _in_range("mmse", 1.0 - est, err, src.name, q, gaussian_mmse(q))
 
 
 def gaussian_mmse(q: float) -> float:
@@ -214,19 +194,18 @@ def nongaussianity(ch: ScalarChannel, cfg: QuadratureConfig = DIVERGENCE_QUADRAT
     var = 1.0 + q
     log_norm = -0.5 * math.log(2.0 * math.pi * var)
 
-    def integrand(y: float) -> float:
+    def integrand(y: np.ndarray) -> np.ndarray:
         # log-ratio form: the matched Gaussian may underflow on the wide
-        # domains needed for slowly decaying output tails
+        # domains needed for slowly decaying output tails; where p is below
+        # the floor, ln p = -inf makes the term g
         log_g = log_norm - 0.5 * y * y / var
-        g = math.exp(log_g)
-        p = float(src.output_density(y, q))
-        if p < _P_FLOOR:
-            return g
-        return kl_integrand_from_logs(math.log(p), log_g)
+        p = src.output_density(y, q)
+        log_p = np.log(p, out=np.full_like(p, -np.inf), where=p >= _P_FLOOR)
+        return kl_integrand_from_logs(log_p, log_g)
 
     radius = _domain_radius(src, q)
     est, err = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
-    return _in_range("nongaussianity", est, err, ch, 0.5 * math.log1p(q))
+    return _in_range("nongaussianity", est, err, src.name, q, 0.5 * math.log1p(q))
 
 
 def divergence_derivatives_at_zero(

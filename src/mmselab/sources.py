@@ -10,18 +10,17 @@ kernels for the additive-noise channel Y = W + sqrt(q) X:
 with phi the standard normal density.  Discrete, Gaussian and Gaussian
 mixture laws are one ``mixture`` kind: components (w, mu, sigma) with
 sigma >= 0, where sigma = 0 is an atom.  Closed forms are used for every
-built-in kind; only ``custom`` laws fall back to per-point quadrature.
+built-in kind; only ``custom`` laws fall back to one quadrature per output point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
+import scipy.special as _sp
 
 from .numerics import TAIL_WIDTH, QuadratureConfig, integrate
 
@@ -49,7 +48,7 @@ _STD_TOL = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-class ZeroVariance(Exception):
+class ZeroVariance(ValueError):
     """Raised when a law with zero spread is asked to be standardized."""
 
 
@@ -133,13 +132,9 @@ class ScalarSource:
                 )
             return tuple(out)
         if self.kind == "custom":
-            lo, hi = self.support
             cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=400)
-            out = []
-            for k in (1, 2, 3, 4):
-                val, _ = integrate(lambda x, k=k: x**k * self.pdf(x), (lo, hi), cfg)
-                out.append(val)
-            return tuple(out)
+            pdf = lambda x: _pdf_values(self.pdf, x)  # noqa: E731
+            return tuple(integrate(lambda x: x**k * pdf(x), self.support, cfg).value for k in (1, 2, 3, 4))
         raise ValueError(f"unknown source kind {self.kind!r}")
 
     def moment(self, k: int) -> float:
@@ -183,8 +178,9 @@ class ScalarSource:
         y = np.asarray(y, dtype=float)
         sq = math.sqrt(q)
         if self.kind == "mixture":
-            terms = _mixture_terms(self.components, q)
-            return np.dot(terms.weight, _component_densities(y, terms)).reshape(y.shape)
+            w, mu, s = np.array(self.components).T[:, :, None]
+            var = 1.0 + q * s * s
+            return np.dot(w[:, 0], _component_densities(y, sq * mu, var)).reshape(y.shape)
         if self.kind == "uniform":
             lo, hi = self.params
             if q == 0.0:
@@ -221,12 +217,13 @@ class ScalarSource:
         if self.kind == "mixture":
             # each component's density times its posterior mean
             # (mu + sqrt(q) sigma^2 y) / var
-            terms = _mixture_terms(self.components, q)
-            post = terms.slope * y.reshape(-1)
-            np.add(post, terms.mean, post)
-            np.divide(post, terms.var, post)
-            np.multiply(post, _component_densities(y, terms), post)
-            return np.dot(terms.weight, post).reshape(y.shape)
+            w, mu, s = np.array(self.components).T[:, :, None]
+            var = 1.0 + q * s * s
+            post = (sq * s * s) * y.reshape(-1)
+            np.add(post, mu, post)
+            np.divide(post, var, post)
+            np.multiply(post, _component_densities(y, sq * mu, var), post)
+            return np.dot(w[:, 0], post).reshape(y.shape)
         if self.kind == "uniform":
             lo, hi = self.params
             v2 = y - sq * lo
@@ -269,78 +266,45 @@ def _gaussian_raw_moments(mu: float, s: float) -> tuple:
     )
 
 
-class _MixtureTerms(NamedTuple):
-    """Per-component constants of the mixture kernels at one snr q.
+def _component_densities(y: np.ndarray, center: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Densities of the components N(center_k, var_k) at y, shape (components, y.size).
 
-    Component k of Y is N(center_k, var_k) with center_k = sqrt(q) mu_k and
-    var_k = 1 + q sigma_k^2; its posterior mean of X is
-    (mu_k + slope_k y) / var_k with slope_k = sqrt(q) sigma_k^2.  All but
-    ``weight`` are columns of shape (components, 1), so they broadcast
-    against a row of points.
+    ``center`` and ``var`` are columns.  Formed in place in one array, so a
+    bulk call holds one value per point and component.
     """
-
-    weight: np.ndarray
-    mean: np.ndarray
-    center: np.ndarray
-    var: np.ndarray
-    neg_two_var: np.ndarray
-    norm: np.ndarray
-    slope: np.ndarray
-
-
-@lru_cache(maxsize=256)
-def _mixture_terms(components: tuple, q: float) -> _MixtureTerms:
-    # The integrands evaluate the kernels one point at a time, so these
-    # constants are built once per (law, q), not once per point.
-    w, mu, s = np.array(components, dtype=float).T[:, :, None]
-    sq = math.sqrt(q)
-    var = 1.0 + q * s * s
-    return _MixtureTerms(
-        weight=w[:, 0],
-        mean=mu,
-        center=sq * mu,
-        var=var,
-        neg_two_var=-2.0 * var,
-        norm=np.sqrt(2.0 * math.pi * var),
-        slope=sq * s * s,
-    )
-
-
-def _component_densities(y: np.ndarray, terms: _MixtureTerms) -> np.ndarray:
-    """Unweighted component densities at the points of y, shape (components, y.size).
-
-    Formed in place in one array, so a bulk call holds one value per point
-    and component; the rows keep each component's points contiguous.
-    """
-    t = terms.center - y.reshape(-1)  # squared below: the sign does not matter
+    t = center - y.reshape(-1)  # squared below: the sign does not matter
     np.square(t, t)
-    np.divide(t, terms.neg_two_var, t)
+    np.divide(t, -2.0 * var, t)
     np.exp(t, t)
-    np.divide(t, terms.norm, t)
+    np.divide(t, np.sqrt(2.0 * math.pi * var), t)
     return t
+
+
+def _pdf_values(pdf: Callable, x: np.ndarray) -> np.ndarray:
+    """A custom law's density at the points of x, called one point at a time."""
+    return np.array([pdf(v) for v in x.tolist()], dtype=float)
 
 
 def _custom_kernel(src: ScalarSource, y: np.ndarray, q: float, weight) -> np.ndarray:
     sq = math.sqrt(q)
     lo, hi = src.support
-    scalar = y.ndim == 0
-    ys = np.atleast_1d(y)
-    out = np.empty_like(ys, dtype=float)
-    for i, yv in enumerate(ys):
+    ys = np.ravel(y)
+    out = np.zeros(ys.shape)
+    for i, yv in enumerate(ys.tolist()):
         if q > 0:
             a = max(lo, (yv - TAIL_WIDTH) / sq)
             b = min(hi, (yv + TAIL_WIDTH) / sq)
         else:
             a, b = lo, hi
         if not a < b:
-            out[i] = 0.0
             continue
-        if weight is None:
-            f = lambda x: src.pdf(x) * float(_phi(yv - sq * x))
-        else:
-            f = lambda x: weight(x) * src.pdf(x) * float(_phi(yv - sq * x))
+
+        def f(x, yv=yv):
+            v = _pdf_values(src.pdf, x) * _phi(yv - sq * x)
+            return v if weight is None else weight(x) * v
+
         out[i] = integrate(f, (a, b))[0]
-    return out[0] if scalar else out
+    return out.reshape(np.shape(y))
 
 
 # -- constructors ---------------------------------------------------------
@@ -390,7 +354,11 @@ def gaussian_mixture(weight, mu1, sigma1, mu2, sigma2, name: str = "mixture") ->
 
 
 def custom_source(pdf, support, name: str = "custom") -> ScalarSource:
-    """Standardized law from an arbitrary density (moments by quadrature)."""
+    """Standardized law from an arbitrary density (moments by quadrature).
+
+    ``pdf`` takes one point and returns a float: the kernels and moments
+    call it one point at a time, on the nodes of their quadratures.
+    """
     raw = ScalarSource(kind="custom", name=name, pdf=pdf, support=tuple(support))
     return standardize(raw)
 

@@ -32,13 +32,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
+import scipy.special as _sp
 
 from .numerics import (
     DIVERGENCE_QUADRATURE,
     TAIL_WIDTH,
     QuadratureConfig,
     _check_snr,
+    _in_range,
     integrate,
     kl_integrand_from_logs,
 )
@@ -77,45 +78,50 @@ class ToneModel:
         object.__setattr__(self, "q", _check_snr(self.q))
 
 
-def _radial_mixture(mags, sq: float, r: float) -> tuple:
-    """ln(f(r)/r) and the posterior weights of the magnitudes at radius r.
+def _radial_mixture(law: AmplitudeLaw, sq: float, r: np.ndarray) -> tuple:
+    """ln(f(r)/r) and the posterior mean E[a I1/I0(r a sq) | r] at the radii r.
 
-    Each magnitude contributes p exp(-(r - a sq)^2 / 2) i0e(r a sq) to
-    f(r)/r (I0 enters exponentially scaled); the sum is taken in log form.
+    Magnitude a of probability p contributes p exp(-(r - a sq)^2 / 2)
+    i0e(r a sq) to f(r)/r (I0 exponentially scaled), summed as a logsumexp.
     """
-    terms = [
-        math.log(p) - 0.5 * (r - a * sq) ** 2 + math.log(_sp.i0e(r * a * sq))
-        for a, p in mags
-    ]
-    m = max(terms)
-    scaled = [math.exp(t - m) for t in terms]
-    total = sum(scaled)
-    return m + math.log(total), [s / total for s in scaled]
+    a, p = np.array(law.magnitudes).T[:, :, None]
+    z = r * a * sq
+    i0e = _sp.i0e(z)
+    terms = np.log(p) - 0.5 * np.square(r - a * sq) + np.log(i0e)
+    top = terms.max(axis=0)
+    scaled = np.exp(terms - top)
+    total = scaled.sum(axis=0)
+    mean = (scaled * a * _sp.i1e(z) / i0e).sum(axis=0) / total
+    return top + np.log(total), mean
 
 
 def tone_divergence(
     law: AmplitudeLaw, q: float, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE
 ) -> float:
-    """Single-tone divergence from the matched Gaussian at snr q."""
+    """Single-tone divergence from the matched Gaussian at snr q.
+
+    Raises ``NumericsError`` if the integral fails or leaves [0, ln(1 + q/2)],
+    the entropy gap of the two-dimensional noise, by more than its error.
+    """
     q = _check_snr(q)
     if q == 0.0 or law.kind == "gaussian-pair":
         # Gaussian coefficient pair: the output law *is* the matched Gaussian.
         return 0.0
 
-    mags = law.magnitudes
     sq = math.sqrt(q)
     half_var = 1.0 + 0.5 * q
     log_g_norm = -math.log(half_var)
 
-    def integrand(r: float) -> float:
-        log_r = math.log(r)
-        log_p = log_r + _radial_mixture(mags, sq, r)[0]
+    def integrand(r: np.ndarray) -> np.ndarray:
+        log_r = np.log(r)
+        log_p = log_r + _radial_mixture(law, sq, r)[0]
         log_g = log_r + log_g_norm - 0.5 * r * r / half_var
         return kl_integrand_from_logs(log_p, log_g)
 
-    a_max = max(a for a, _ in mags)
+    a_max = max(a for a, _ in law.magnitudes)
     domain = (0.0, sq * a_max + TAIL_WIDTH * math.sqrt(half_var))
-    return max(0.0, integrate(integrand, domain, cfg).value)
+    est, err = integrate(integrand, domain, cfg)
+    return _in_range("tone divergence", est, err, law.name, q, math.log(half_var))
 
 
 def dn_divergence(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
@@ -141,29 +147,23 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
     one radial integral of the squared posterior mean (the Gaussian pair
     keeps its closed form 1/(1 + x/2)).
 
-    Raises
-    ------
-    NonConvergence, NonFinite
-        From the radial quadrature, as in :func:`~mmselab.numerics.integrate`.
+    Raises ``NumericsError`` if the integral fails or leaves [0, 1/(1 + x/2)]
+    by more than its error.
     """
     law = model.amplitude_law
     x = model.q / model.n_tones
     if x == 0.0 or law.kind == "gaussian-pair":
         return 1.0 / (1.0 + 0.5 * x)
 
-    mags = law.magnitudes
     sq = math.sqrt(x)
 
-    def integrand(r: float) -> float:
-        log_f, weights = _radial_mixture(mags, sq, r)
-        est = sum(
-            w * a * _sp.i1e(r * a * sq) / _sp.i0e(r * a * sq)
-            for w, (a, _) in zip(weights, mags)
-        )
-        return r * math.exp(log_f) * est * est
+    def integrand(r: np.ndarray) -> np.ndarray:
+        log_f, est = _radial_mixture(law, sq, r)
+        return r * np.exp(log_f) * est * est
 
-    a_max = max(a for a, _ in mags)
-    return 1.0 - integrate(integrand, (0.0, sq * a_max + TAIL_WIDTH), cfg).value
+    a_max = max(a for a, _ in law.magnitudes)
+    est, err = integrate(integrand, (0.0, sq * a_max + TAIL_WIDTH), cfg)
+    return _in_range("tone mmse", 1.0 - est, err, law.name, x, 1.0 / (1.0 + 0.5 * x))
 
 
 def gaussian_cmmse(n: int, q: float) -> float:

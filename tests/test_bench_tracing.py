@@ -30,8 +30,8 @@ def test_tracer_installs_and_removes():
 
 
 def test_tracer_sees_point_kernel_calls():
-    # the per-point kernel metrics come from the wrapped ScalarSource methods;
-    # an integrand that reached the kernels some other way would zero them
+    # the kernel metrics come from the wrapped ScalarSource methods; an
+    # integrand that reached the kernels some other way would zero them
     from mmselab.scalar_channel import ScalarChannel, mmse
     from mmselab.sources import rademacher
 
@@ -41,4 +41,4 @@ def test_tracer_sees_point_kernel_calls():
         mmse(ScalarChannel(rademacher(), 1.0))
     finally:
         tracer.remove()
-    assert tracer.stats["kernel.point"][0] > 0
+    assert tracer.stats.get("kernel.point", [0])[0] + tracer.stats.get("kernel.bulk", [0])[0] > 0

@@ -99,6 +99,13 @@ def test_bad_source_exits_2(tmp_path):
     assert main(["scalar", "--source", "landau", "--q-grid", "1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("spec", ["atoms:1,0.5,1,0.5", "mix:0.5,1,0,1,0"])
+def test_degenerate_law_exits_2(spec, capsys):
+    # both specs describe a point mass, which cannot be standardized
+    assert main(["scalar", "--source", spec, "--q-grid", "1"]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_unreachable_tolerance_exits_3(capsys):
     code = main(["scalar", "--source", "uniform", "--q-grid", "0.1", "--tol", "1e-15"])
     assert code == EXIT_NUMERICAL

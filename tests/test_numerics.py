@@ -20,7 +20,7 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def normal_pdf(y):
-    return math.exp(-0.5 * y * y) / _SQRT_2PI
+    return np.exp(-0.5 * y * y) / _SQRT_2PI
 
 
 def test_config_validation():
@@ -48,8 +48,30 @@ def test_second_moment_is_one():
 
 def test_radial_halfline_domain():
     # Rayleigh density r exp(-r^2/2) integrates to 1 on the half-line
-    val, _ = integrate(lambda r: r * math.exp(-0.5 * r * r), (0.0, math.inf))
+    val, _ = integrate(lambda r: r * np.exp(-0.5 * r * r), (0.0, math.inf))
     assert val == pytest.approx(1.0, abs=1e-9)
+
+
+def _narrow_normal(y):
+    # sigma = 1e-3 around 0.3, tens of sigmas from every node of the
+    # first pass on (-10, 10): only a breakpoint can reveal it
+    return normal_pdf((y - 0.3) / 1e-3) / 1e-3
+
+
+@pytest.mark.parametrize(
+    "f, domain, breakpoints, expected",
+    [
+        (normal_pdf, (-math.inf, 0.0), None, 0.5),
+        (normal_pdf, (-1.0, math.inf), None, 0.8413447460685429),
+        (lambda y: y**30, (0.0, 1.0), None, 1.0 / 31.0),
+        (_narrow_normal, (-10.0, 10.0), (0.3 - 8e-3, 0.3, 0.3 + 8e-3), 1.0),
+    ],
+    ids=["lower-halfline", "upper-halfline", "kronrod-exact-polynomial", "narrow-peak"],
+)
+def test_integrate_known_values(f, domain, breakpoints, expected):
+    val, err = integrate(f, domain, breakpoints=breakpoints)
+    assert val == pytest.approx(expected, rel=1e-12)
+    assert err <= max(DEFAULT_QUADRATURE.abs_tol, DEFAULT_QUADRATURE.rel_tol * abs(val))
 
 
 def test_integrate_deterministic():
@@ -64,9 +86,12 @@ def test_empty_domain_rejected():
 
 def test_nonfinite_detected():
     with pytest.raises(NonFinite):
-        integrate(lambda y: math.inf if y > 0.5 else 1.0, (0.0, 1.0))
+        integrate(lambda y: np.where(y > 0.5, np.inf, 1.0), (0.0, 1.0))
     with pytest.raises(NonFinite):
-        integrate(lambda y: math.nan, (0.0, 1.0))
+        integrate(lambda y: np.full_like(y, np.nan), (0.0, 1.0))
+    # one bad element of the array: the centre node of the first panel
+    with pytest.raises(NonFinite, match="at x=0.0"):
+        integrate(lambda y: np.where(y == 0.0, np.nan, 1.0), (-1.0, 1.0))
 
 
 def test_nonconvergence_on_rough_integrand():

@@ -65,7 +65,7 @@ def test_standardize_exponential_moments():
     # quadrature oracle for the standardized moments
     for k, expected in ((3, 2.0), (4, 9.0)):
         val, _ = integrate(
-            lambda x, k=k: (x**k) * math.exp(-(x + 1.0)), (-1.0, 120.0)
+            lambda x, k=k: (x**k) * np.exp(-(x + 1.0)), (-1.0, 120.0)
         )
         assert val == pytest.approx(expected, abs=1e-8)
 

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mmselab.numerics import DIVERGENCE_QUADRATURE, derivative_at_zero
+from mmselab import tone_channel
+from mmselab.numerics import (
+    DIVERGENCE_QUADRATURE,
+    NumericsError,
+    ValueWithError,
+    derivative_at_zero,
+)
 from mmselab.sources import gaussian_pair_amplitude, magnitude_law, unit_amplitude
 from mmselab.tone_channel import (
     ToneModel,
@@ -216,3 +222,15 @@ def test_convergence_rate_fit_validation():
         convergence_rate_fit(g, (4, 8, 16, 32), 1.0, "cmmse")  # span < decade
     with pytest.raises(ValueError):
         convergence_rate_fit(g, (4, 8, 16, 64), 1.0, "median")
+
+
+@pytest.mark.parametrize("value", [1.5, -0.5])
+def test_out_of_range_integral_raises(monkeypatch, value):
+    # at per-tone snr x = 1 the bounds are D in [0, ln(3/2)] and mmse in
+    # [0, 2/3]; value puts D = value and mmse = 1 - value far outside both
+    fake = lambda *args, **kwargs: ValueWithError(value, 1e-12)  # noqa: E731
+    monkeypatch.setattr(tone_channel, "integrate", fake)
+    with pytest.raises(NumericsError, match=r"tone divergence .* law 'unit' at q=1\.0"):
+        tone_divergence(unit_amplitude(), 1.0)
+    with pytest.raises(NumericsError, match=r"tone mmse .* law 'unit' at q=1\.0"):
+        mmse_exact(ToneModel(n_tones=2, q=2.0))
