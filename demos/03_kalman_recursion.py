@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Covariance-recursion check of the Gaussian tone error formulas.
+"""Kalman-oracle check of the Gaussian tone error formulas.
 
 The Gaussian-amplitude tone signal makes the channel linear-Gaussian, so
-its filtering/smoothing error energies follow from a deterministic Riccati
-recursion on the 2N static Fourier coefficients, no sampling involved.
+its filtering/smoothing error energies follow deterministically from the
+information matrices of the 2N static Fourier coefficients: the prior's
+N I plus a running sum of the measurements' outer products, whose inverse
+is the error covariance.  No sampling is involved.
 Halving dt shows clean first-order convergence to the closed forms
 (2N/q) ln(1 + q/(2N)) and 1/(1 + q/(2N)).
 """

@@ -1,7 +1,7 @@
 """Numerical laboratory for divergence/estimation-error relations in
 additive white Gaussian noise channels: scalar and N-tone signals, exact
 and asymptotic error formulas, low-snr expansions, and independent
-verification by covariance recursions and Monte Carlo."""
+verification by a Kalman oracle and Monte Carlo."""
 
 from .numerics import (
     DEFAULT_QUADRATURE,

@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-grid", required=True)
     common(p, cmd_tones, 1e-12)
 
-    p = sub.add_parser("kalman", help="covariance-recursion check of the Gaussian tone errors")
+    p = sub.add_parser("kalman", help="Kalman-oracle check of the Gaussian tone errors")
     p.add_argument("--n-list", required=True)
     p.add_argument("--q-grid", required=True)
     p.add_argument("--base-steps", type=int, default=2048)

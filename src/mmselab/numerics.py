@@ -163,28 +163,31 @@ _WEIGHTS = np.concatenate((_GK21_HALF[:-1, 1:], _GK21_HALF[::-1, 1:]))  # (21, 2
 
 
 def _to_finite(f: Callable, a: float, b: float):
-    """``(g, lo, hi)`` with the integral of ``g`` over (lo, hi) equal to that of ``f`` over (a, b)."""
+    """``(g, lo, hi, x_of)``: ``g`` on (lo, hi) integrates to ``f`` on (a, b), with x = x_of(t)."""
     if math.isfinite(a) and math.isfinite(b):
-        return f, a, b
-    if math.isinf(a) and math.isinf(b):  # x = t / (1 - t^2)
-        return (lambda t: f(t / (1.0 - t * t)) * (1.0 + t * t) / (1.0 - t * t) ** 2), -1.0, 1.0
-    origin, sign = (a, 1.0) if math.isfinite(a) else (b, -1.0)  # x = origin +- t / (1 - t)
-    return (lambda t: f(origin + sign * t / (1.0 - t)) / (1.0 - t) ** 2), 0.0, 1.0
+        return f, a, b, float
+    if math.isinf(a) and math.isinf(b):
+        x_of = lambda t: t / (1.0 - t * t)  # noqa: E731
+        return (lambda t: f(x_of(t)) * (1.0 + t * t) / (1.0 - t * t) ** 2), -1.0, 1.0, x_of
+    origin, sign = (a, 1.0) if math.isfinite(a) else (b, -1.0)
+    x_of = lambda t: origin + sign * t / (1.0 - t)  # noqa: E731
+    return (lambda t: f(x_of(t)) / (1.0 - t) ** 2), 0.0, 1.0, x_of
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, x_of: Callable) -> np.ndarray:
     """Rows (lo, hi, value, error) of the panels, from one call of ``f`` on all their nodes.
 
     The value is the Kronrod one; the error is QUADPACK's estimate
     ``resasc * min(1, (200 |K - G| / resasc)^1.5)``, floored at 50 eps of
-    the panel's integral of ``|f|``.
+    the panel's integral of ``|f|``.  A ``NonFinite`` names the node mapped
+    back to x by ``x_of``.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     bad = ~np.isfinite(fx)
     if bad.any():
-        raise NonFinite(f"integrand returned {float(fx[bad][0])!r} at x={float(x[bad][0])!r}")
+        raise NonFinite(f"integrand returned {float(fx[bad][0])!r} at x={x_of(float(x[bad][0]))!r}")
     kronrod, gauss = (fx @ _WEIGHTS).T
     resabs = np.abs(fx) @ _WEIGHTS[:, 0]
     resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _WEIGHTS[:, 0]
@@ -224,11 +227,11 @@ def integrate(
     a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ValueError(f"empty integration domain ({a}, {b})")
-    g, t0, t1 = _to_finite(f, a, b)
+    g, t0, t1, x_of = _to_finite(f, a, b)
     if breakpoints is not None and g is not f:
         raise ValueError("breakpoints need a finite integration domain")
     edges = [t0, *sorted(p for p in set(breakpoints or ()) if a < p < b), t1]
-    panels = _panels(g, np.array(edges[:-1]), np.array(edges[1:]))
+    panels = _panels(g, np.array(edges[:-1]), np.array(edges[1:]), x_of)
     while True:
         value, err = float(panels[:, 2].sum()), float(panels[:, 3].sum())
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
@@ -245,7 +248,7 @@ def integrate(
         split = split[np.argsort(-panels[split, 3], kind="stable")[:room]]
         lo, hi = panels[split, 0], panels[split, 1]
         mid = 0.5 * (lo + hi)
-        new = _panels(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        new = _panels(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), x_of)
         panels = np.concatenate((np.delete(panels, split, axis=0), new))
 
 

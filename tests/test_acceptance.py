@@ -159,7 +159,7 @@ def test_criterion_6_kalman_reproduces_closed_forms():
         details.append(f"(N={n},q={q}): {max(gap_cm, gap_mm):.1e}")
     ok = worst <= 1e-3
     assert report(
-        "criterion 6 (covariance recursion vs closed forms)",
+        "criterion 6 (Kalman oracle vs closed forms)",
         ok,
         "extrapolated gaps " + ", ".join(details) + ", tol 1e-3",
     )

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from mmselab.cli import EXIT_NUMERICAL, main
 from mmselab.ct_verify import (
     IllConditioned,
     KalmanSetup,
     McConfig,
+    _basis_matrix,
+    _riccati,
     kalman_cmmse,
     kalman_mmse,
     mc_scalar_mmse,
@@ -102,18 +105,45 @@ def test_kalman_causal_dominates_noncausal():
 
 
 def test_covariance_stays_psd():
-    # a deliberately coarse, high-snr run still keeps the recursion PSD
+    # a deliberately coarse, high-snr run still gives a positive causal error
     setup = KalmanSetup(4, 50.0, 256)
     assert kalman_cmmse(setup) > 0.0
 
 
-def test_psd_guard_raises():
-    from mmselab.ct_verify import _assert_psd
+def test_singular_information_matrix_raises():
+    # at q = 1e20 the prior's N I is lost beside q dt h h' in the first steps
+    with pytest.raises(IllConditioned, match=r"N=4, q=1e\+20"):
+        kalman_cmmse(KalmanSetup(4, 1e20, 512))
+    argv = ["kalman", "--n-list", "4", "--q-grid", "1e20", "--base-steps", "512"]
+    assert main(argv) == EXIT_NUMERICAL
 
-    _assert_psd(np.eye(3))
-    _assert_psd(np.diag([1.0, 1e-14, 0.0]))  # tiny negative tolerance band
-    with pytest.raises(IllConditioned):
-        _assert_psd(np.diag([1.0, -1e-6]))
+
+def _covariance_recursion(setup):
+    """(causal, non-causal) errors from the per-step rank-one covariance update."""
+    basis = _basis_matrix(setup)
+    p_cov = np.eye(2 * setup.n_tones) / setup.n_tones
+    causal = 0.0
+    for row in basis:
+        c = math.sqrt(setup.q * setup.dt) * row
+        pc = p_cov @ c
+        p_cov = p_cov - np.outer(pc, pc) / (1.0 + c @ pc)
+        causal += float(row @ p_cov @ row) * setup.dt
+    return causal, float(np.einsum("ij,jk,ik->", basis, p_cov, basis)) * setup.dt
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("q", [0.5, 3.0, 50.0])
+def test_information_sum_matches_covariance_recursion(n, q):
+    setup = KalmanSetup(n, q, 512)
+    assert _riccati(setup) == pytest.approx(_covariance_recursion(setup), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("q", [1e6, 1e12, 1e18])
+def test_kalman_mmse_exact_at_high_snr(n, q):
+    # the full-period grid sums h h' dt to I/2 exactly, so J = (N + q/2) I
+    exact = gaussian_mmse_tone(n, q)
+    assert kalman_mmse(KalmanSetup(n, q, 512)) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_mc_gaussian_closed_form():

@@ -92,6 +92,10 @@ def test_nonfinite_detected():
     # one bad element of the array: the centre node of the first panel
     with pytest.raises(NonFinite, match="at x=0.0"):
         integrate(lambda y: np.where(y == 0.0, np.nan, 1.0), (-1.0, 1.0))
+    # an infinite domain names the x, not the node of the mapped variable
+    with pytest.raises(NonFinite) as exc:
+        integrate(lambda y: np.where(y > 10, np.nan, 0.0), (0.0, np.inf))
+    assert float(str(exc.value).rpartition("x=")[2]) > 10.0
 
 
 def test_nonconvergence_on_rough_integrand():
