@@ -155,8 +155,7 @@ def cmd_derivatives(args: argparse.Namespace) -> list:
     if any(o not in (1, 2, 3, 4) for o in orders):
         raise ConfigError("orders must be a comma list from 1..4")
     src = parse_source(args.source)
-    cfg = _quad_cfg(min(args.tol, 1e-12))
-    estimates = scalar_channel.divergence_derivatives_at_zero(src, orders, cfg)
+    estimates = scalar_channel.divergence_derivatives_at_zero(src, orders)
     exact = scalar_channel.divergence_derivatives_from_moments(src)
     rows = []
     for est in estimates:
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derivatives", help="one-sided divergence derivatives at zero snr")
     p.add_argument("--source", required=True)
     p.add_argument("--orders", default="1,2,3,4")
-    common(p, cmd_derivatives, 1e-12)
+    common(p, cmd_derivatives)
 
     p = sub.add_parser("tones", help="N-tone exact errors, closed forms, asymptotics")
     p.add_argument("--amplitude", default="unit")

@@ -36,7 +36,6 @@ import numpy as np
 from .numerics import (
     DEFAULT_QUADRATURE,
     DIVERGENCE_QUADRATURE,
-    TAIL_WIDTH,
     DerivativeEstimate,
     QuadratureConfig,
     _check_snr,
@@ -61,6 +60,10 @@ __all__ = [
 
 _P_FLOOR = 1e-300
 
+# First step h0 of the divergence derivative schedule (see
+# divergence_derivatives_at_zero).
+_DERIVATIVE_STEP = 0.05
+
 
 @dataclass(frozen=True)
 class ScalarChannel:
@@ -82,32 +85,6 @@ def conditional_mean(ch: ScalarChannel, y):
     p_arr = np.asarray(p, dtype=float)
     out = np.divide(a, p_arr, out=np.zeros_like(p_arr), where=p_arr > _P_FLOOR)
     return float(out) if np.ndim(y) == 0 else out
-
-
-def _domain_radius(src: ScalarSource, q: float) -> float:
-    return TAIL_WIDTH * math.sqrt(1.0 + q) + math.sqrt(q) * src.bulk_radius()
-
-
-def _panel_breakpoints(src: ScalarSource, q: float):
-    """Panel breakpoints around the sharp features of the output density.
-
-    A mixture component (w, mu, sigma) puts a Gaussian bump of width
-    sqrt(1 + q sigma^2) at sqrt(q) mu into the output density (an atom,
-    sigma = 0, a unit-width one), and each end v of a uniform law a
-    unit-width step.  At high q these features are far narrower than the
-    domain, and a panel that merely ends at one can miss it (a uniform law
-    from q = 1e7 on, where the first Gauss-Kronrod rule samples only the
-    flat top and the tails); breakpoints at 0 and +-8 widths around each
-    feature keep it inside two panels.  Other laws get no breakpoints.
-    """
-    if src.kind == "uniform":
-        features = [(v, 0.0) for v in src.params]
-    else:
-        features = [(mu, s) for _, mu, s in src.components]
-    sq = math.sqrt(q)
-    return sorted(
-        {sq * mu + d * math.sqrt(1.0 + q * s * s) for mu, s in features for d in (-8.0, 0.0, 8.0)}
-    ) or None
 
 
 def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -134,8 +111,8 @@ def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float
         a = src.cross_density(y, q)
         return np.divide(a * a, p, out=np.zeros_like(p), where=p >= _P_FLOOR)
 
-    radius = _domain_radius(src, q)
-    est, err = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
+    domain, breakpoints = src.output_panels(q)
+    est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
     return _in_range("mmse", 1.0 - est, err, src.name, q, gaussian_mmse(q))
 
 
@@ -203,26 +180,23 @@ def nongaussianity(ch: ScalarChannel, cfg: QuadratureConfig = DIVERGENCE_QUADRAT
         log_p = np.log(p, out=np.full_like(p, -np.inf), where=p >= _P_FLOOR)
         return kl_integrand_from_logs(log_p, log_g)
 
-    radius = _domain_radius(src, q)
-    est, err = integrate(integrand, (-radius, radius), cfg, breakpoints=_panel_breakpoints(src, q))
+    domain, breakpoints = src.output_panels(q)
+    est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
     return _in_range("nongaussianity", est, err, src.name, q, 0.5 * math.log1p(q))
 
 
 def divergence_derivatives_at_zero(
-    src: ScalarSource,
-    orders=(1, 2, 3, 4),
-    cfg: QuadratureConfig = DIVERGENCE_QUADRATURE,
-    *,
-    initial_step: float = 0.05,
+    src: ScalarSource, orders=(1, 2, 3, 4)
 ) -> list[DerivativeEstimate]:
     """One-sided derivatives of q -> nongaussianity(src, q) at q = 0.
 
-    The order-k stencil reaches q = k * initial_step, and all of it must lie
-    where the low-snr series of D is already asymptotic: coarse tableau rows
-    built outside that regime can agree by accident, which the tableau's
-    error indicator mistakes for convergence.  Laws with fast-growing
-    moments (the standardized exponential) leave the regime early, hence
-    the start at 0.05 rather than the generic 0.2 of
+    Each divergence is integrated at ``DIVERGENCE_QUADRATURE``.  The
+    order-k stencil reaches q = k * h0 with h0 = ``_DERIVATIVE_STEP``, and
+    all of it must lie where the low-snr series of D is already asymptotic:
+    coarse tableau rows built outside that regime can agree by accident,
+    which the tableau's error indicator mistakes for convergence.  Laws
+    with fast-growing moments (the standardized exponential) leave the
+    regime early, hence the start at 0.05 rather than the generic 0.2 of
     :func:`~mmselab.numerics.derivative_at_zero`.
 
     Divergence evaluations are shared across the requested orders through a
@@ -232,9 +206,10 @@ def divergence_derivatives_at_zero(
 
     def curve(q: float) -> float:
         if q not in cache:
-            cache[q] = nongaussianity(ScalarChannel(src, q), cfg)
+            cache[q] = nongaussianity(ScalarChannel(src, q), DIVERGENCE_QUADRATURE)
         return cache[q]
 
     return [
-        derivative_at_zero(curve, order, cfg, initial_step=initial_step) for order in orders
+        derivative_at_zero(curve, order, DIVERGENCE_QUADRATURE, initial_step=_DERIVATIVE_STEP)
+        for order in orders
     ]

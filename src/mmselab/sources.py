@@ -241,19 +241,44 @@ class ScalarSource:
             return _custom_kernel(self, y, q, weight=lambda x: x)
         raise ValueError(f"unknown source kind {self.kind!r}")
 
-    def bulk_radius(self) -> float:
-        """Radius B with P(|X| > B) negligible at the ``TAIL_WIDTH`` scale."""
+    def output_panels(self, q: float) -> tuple:
+        """Domain (-R, R) and panel breakpoints of the channel integrals at snr q.
+
+        R = TAIL_WIDTH sqrt(1 + q) + sqrt(q) B, with B a bulk radius of the
+        law: P(|X| > B) is negligible at the ``TAIL_WIDTH`` scale.
+
+        The breakpoints sit at the sharp features of the output density.  A
+        feature (mu, sigma) of the law puts a bump or step of width
+        sqrt(1 + q sigma^2) at sqrt(q) mu: each mixture component
+        (w, mu, sigma) is one (an atom, sigma = 0, a unit-width one), and so
+        is each finite end v of a uniform or custom law, a unit-width step.
+        At high q these features are far narrower than the domain, and a
+        panel that merely ends at one can miss it (a uniform law from
+        q = 1e7 on, where the first Gauss-Kronrod rule samples only the flat
+        top and the tails); breakpoints at 0 and +-8 widths around each
+        feature keep it inside two panels.  An exponential law and an
+        infinite end of a support add none; with none at all, the
+        breakpoints are None.
+        """
         if self.kind == "mixture":
-            return max(abs(mu) + TAIL_WIDTH * s for _, mu, s in self.components)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return max(abs(lo), abs(hi))
-        if self.kind == "exponential":
+            features = [(mu, s) for _, mu, s in self.components]
+            bulk = max(abs(mu) + TAIL_WIDTH * s for mu, s in features)
+        elif self.kind == "uniform":
+            features = [(v, 0.0) for v in self.params]
+            bulk = max(abs(v) for v in self.params)
+        elif self.kind == "exponential":
             loc, s = self.params
-            return abs(loc) + s * (0.5 * TAIL_WIDTH**2 + TAIL_WIDTH)
-        lo, hi = self.support
-        cap = 0.5 * TAIL_WIDTH**2
-        return min(max(abs(lo), abs(hi)), cap)
+            features = []
+            bulk = abs(loc) + s * (0.5 * TAIL_WIDTH**2 + TAIL_WIDTH)
+        else:
+            features = [(v, 0.0) for v in self.support if math.isfinite(v)]
+            bulk = min(max(abs(v) for v in self.support), 0.5 * TAIL_WIDTH**2)
+        sq = math.sqrt(q)
+        radius = TAIL_WIDTH * math.sqrt(1.0 + q) + sq * bulk
+        breakpoints = {
+            sq * mu + d * math.sqrt(1.0 + q * s * s) for mu, s in features for d in (-8.0, 0.0, 8.0)
+        }
+        return (-radius, radius), sorted(breakpoints) or None
 
 
 def _gaussian_raw_moments(mu: float, s: float) -> tuple:

@@ -135,8 +135,7 @@ def cmmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE)
     q = model.q
     if q == 0.0:
         return 1.0
-    n = model.n_tones
-    return (2.0 * n / q) * math.log1p(q / (2.0 * n)) - (2.0 / q) * dn_divergence(model, cfg)
+    return gaussian_cmmse(model.n_tones, q) - (2.0 / q) * dn_divergence(model, cfg)
 
 
 def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
@@ -152,8 +151,9 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
     """
     law = model.amplitude_law
     x = model.q / model.n_tones
+    gaussian = gaussian_mmse_tone(model.n_tones, model.q)
     if x == 0.0 or law.kind == "gaussian-pair":
-        return 1.0 / (1.0 + 0.5 * x)
+        return gaussian
 
     sq = math.sqrt(x)
 
@@ -163,7 +163,7 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
 
     a_max = max(a for a, _ in law.magnitudes)
     est, err = integrate(integrand, (0.0, sq * a_max + TAIL_WIDTH), cfg)
-    return _in_range("tone mmse", 1.0 - est, err, law.name, x, 1.0 / (1.0 + 0.5 * x))
+    return _in_range("tone mmse", 1.0 - est, err, law.name, x, gaussian)
 
 
 def gaussian_cmmse(n: int, q: float) -> float:

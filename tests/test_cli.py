@@ -300,8 +300,9 @@ def test_config_validation(capsys):
     [
         ["scalar", "--source", "rademacher", "--q-grid", "1", "--seed", "3"],
         ["kalman", "--n-list", "1", "--q-grid", "1", "--tol", "1e-9"],
+        ["derivatives", "--source", "rademacher", "--tol", "1e-9"],
     ],
-    ids=["scalar-seed", "kalman-tol"],
+    ids=["scalar-seed", "kalman-tol", "derivatives-tol"],
 )
 def test_flags_that_enter_no_formula_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:

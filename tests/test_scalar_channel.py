@@ -381,3 +381,14 @@ def test_laplace_custom_law_divergence_meets_its_tolerance():
         ref += float(np.dot(wy[block], p * (np.log(p) - log_g)))
     assert ref == pytest.approx(0.016249140718631594, rel=1e-11)
     assert got == pytest.approx(ref, rel=cfg.rel_tol)
+
+
+@pytest.mark.parametrize("q", [1e6, 1e7])
+def test_custom_uniform_law_matches_uniform_at_high_snr(q):
+    # the support ends give the custom law the breakpoints of `uniform`;
+    # without them its mmse came out 1 at q = 1e6 and 1e7 and raised
+    b = math.sqrt(3.0)
+    src = custom_source(lambda x: 0.5 / b if abs(x) <= b else 0.0, (-b, b))
+    custom_ch, uniform_ch = ScalarChannel(src, q), ScalarChannel(uniform(), q)
+    assert mmse(custom_ch) == pytest.approx(mmse(uniform_ch), rel=0.0, abs=1e-12)
+    assert nongaussianity(custom_ch) == pytest.approx(nongaussianity(uniform_ch), rel=1e-9)
