@@ -4,9 +4,10 @@ All routines are pure functions of their arguments: no global state, no
 randomness, bit-identical outputs for identical inputs.  Integration is
 globally adaptive bisection with the 21-point Gauss-Kronrod rule and error
 estimate of QUADPACK (Piessens et al., 1983) per panel, on array
-integrands.  Differentiation at the left endpoint of ``[0, q_max]`` uses
-one-sided finite differences on a geometric step schedule with a
-Richardson/Ridders extrapolation tableau.
+integrands, scalar or vector-valued (one panel set for all components).
+Differentiation at the left endpoint of ``[0, q_max]`` uses one-sided
+finite differences on a geometric step schedule with a Richardson/Ridders
+extrapolation tableau.
 
 Infinite integration limits are mapped onto finite ones by a rational
 substitution.  The channel integrals pass finite domains instead, cut
@@ -64,8 +65,8 @@ class QuadratureConfig:
     Parameters
     ----------
     rel_tol, abs_tol : float
-        The integral's error bound must satisfy
-        ``err <= max(abs_tol, rel_tol * |value|)``.
+        The integral's error bound (each component's, for a vector
+        integrand) must satisfy ``err <= max(abs_tol, rel_tol * |value|)``.
     max_subdivisions : int
         Adaptive panel budget.
     """
@@ -163,39 +164,55 @@ _WEIGHTS = np.concatenate((_GK21_HALF[:-1, 1:], _GK21_HALF[::-1, 1:]))  # (21, 2
 
 
 def _to_finite(f: Callable, a: float, b: float):
-    """``(g, lo, hi, x_of)``: ``g`` on (lo, hi) integrates to ``f`` on (a, b), with x = x_of(t)."""
+    """``(g, lo, hi, x_of, t_of)``: ``g`` on (lo, hi) integrates to ``f`` on (a, b).
+
+    x = x_of(t) maps the nodes, and t = t_of(x) the breakpoints.
+    """
     if math.isfinite(a) and math.isfinite(b):
-        return f, a, b, float
+        return f, a, b, float, float
     if math.isinf(a) and math.isinf(b):
         x_of = lambda t: t / (1.0 - t * t)  # noqa: E731
-        return (lambda t: f(x_of(t)) * (1.0 + t * t) / (1.0 - t * t) ** 2), -1.0, 1.0, x_of
+        t_of = lambda x: 2.0 * x / (1.0 + math.sqrt(1.0 + 4.0 * x * x))  # noqa: E731
+        return (lambda t: f(x_of(t)) * (1.0 + t * t) / (1.0 - t * t) ** 2), -1.0, 1.0, x_of, t_of
     origin, sign = (a, 1.0) if math.isfinite(a) else (b, -1.0)
     x_of = lambda t: origin + sign * t / (1.0 - t)  # noqa: E731
-    return (lambda t: f(x_of(t)) / (1.0 - t) ** 2), 0.0, 1.0, x_of
+    t_of = lambda x: sign * (x - origin) / (1.0 + sign * (x - origin))  # noqa: E731
+    return (lambda t: f(x_of(t)) / (1.0 - t) ** 2), 0.0, 1.0, x_of, t_of
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, x_of: Callable) -> np.ndarray:
-    """Rows (lo, hi, value, error) of the panels, from one call of ``f`` on all their nodes.
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, x_of: Callable) -> tuple:
+    """``(vector, rows)`` of the panels (lo, hi), from one call of ``f`` on all their nodes.
 
-    The value is the Kronrod one; the error is QUADPACK's estimate
+    ``rows`` stacks lo, hi, then the k values and the k error bounds of
+    each panel: k = 1 unless ``f`` is a vector integrand (``vector``).  The
+    value is the Kronrod one; the error is QUADPACK's estimate
     ``resasc * min(1, (200 |K - G| / resasc)^1.5)``, floored at 50 eps of
     the panel's integral of ``|f|``.  A ``NonFinite`` names the node mapped
     back to x by ``x_of``.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    vector = fx.ndim == 2
+    fx = fx.reshape(-1, _NODES.size)  # one row per component and panel
     bad = ~np.isfinite(fx)
     if bad.any():
-        raise NonFinite(f"integrand returned {float(fx[bad][0])!r} at x={x_of(float(x[bad][0]))!r}")
+        row, node = np.argwhere(bad)[0]
+        at = x_of(float(x[row % len(lo), node]))
+        raise NonFinite(f"integrand returned {float(fx[row, node])!r} at x={at!r}")
     kronrod, gauss = (fx @ _WEIGHTS).T
-    resabs = np.abs(fx) @ _WEIGHTS[:, 0]
-    resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _WEIGHTS[:, 0]
+    dev = fx - 0.5 * kronrod[:, None]
+    np.abs(dev, out=dev)
+    resasc = dev @ _WEIGHTS[:, 0]
+    np.abs(fx, out=dev)
+    resabs = dev @ _WEIGHTS[:, 0]
     diff = np.abs(kronrod - gauss)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where(resasc > 0, resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5), diff)
     err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return np.column_stack((lo, hi, kronrod * half, err * half))
+    rows = np.concatenate((lo, hi, kronrod, err)).reshape(-1, len(lo))
+    rows[2:] *= half
+    return vector, rows
 
 
 def integrate(
@@ -207,49 +224,59 @@ def integrate(
 ) -> ValueWithError:
     """Integral of ``f`` over ``domain`` and its error bound, to the tolerances in ``cfg``.
 
-    ``f`` maps a 1-D array of points to the array of its values there.
-    Globally adaptive 21-point Gauss-Kronrod quadrature: each pass calls
-    ``f`` once, on the nodes of every panel the previous pass opened, then
-    bisects every panel whose error exceeds its share ``tol / panels`` of
+    ``f`` maps a 1-D array of n points to the array of its n values there,
+    and the integral and its error bound are floats.  A vector integrand
+    maps them to a (k, n) array of k components, and the integral and its
+    error bound are arrays of k values.  Globally adaptive 21-point
+    Gauss-Kronrod quadrature on one set of panels shared by the components:
+    each pass calls ``f`` once, on the nodes of every panel the previous
+    pass opened, then bisects every panel where some component's error
+    exceeds its share ``tol / panels`` of that component's
     ``tol = max(abs_tol, rel_tol * |value|)``.  An infinite endpoint is
     mapped to a finite one by x = t/(1-t^2), a + t/(1-t) or b - t/(1-t).
-    ``breakpoints`` (finite domains only) are fixed panel edges from the
-    first pass on, for known sharp peaks.
+    ``breakpoints`` are fixed panel edges from the first pass on, for known
+    sharp peaks or kinks; those outside the open domain are ignored.
 
     Raises
     ------
     NonConvergence
-        If the error still exceeds ``tol`` with ``cfg.max_subdivisions``
-        panels in use.
+        If some component's error still exceeds its ``tol`` with
+        ``cfg.max_subdivisions`` panels in use.
     NonFinite
         If ``f`` evaluates to NaN or +-inf anywhere it is sampled.
     """
     a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ValueError(f"empty integration domain ({a}, {b})")
-    g, t0, t1, x_of = _to_finite(f, a, b)
-    if breakpoints is not None and g is not f:
-        raise ValueError("breakpoints need a finite integration domain")
-    edges = [t0, *sorted(p for p in set(breakpoints or ()) if a < p < b), t1]
-    panels = _panels(g, np.array(edges[:-1]), np.array(edges[1:]), x_of)
+    g, t0, t1, x_of, t_of = _to_finite(f, a, b)
+    inner = sorted(t_of(p) for p in set(breakpoints or ()) if a < p < b)
+    vector, panels = _panels(g, np.array([t0, *inner]), np.array([*inner, t1]), x_of)
+    k = (len(panels) - 2) // 2
     while True:
-        value, err = float(panels[:, 2].sum()), float(panels[:, 3].sum())
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        if err <= tol:
-            return ValueWithError(value, err)
-        room = cfg.max_subdivisions - len(panels)
+        value, err = panels[2 : 2 + k].sum(axis=1), panels[2 + k :].sum(axis=1)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+        if (err <= tol).all():
+            if vector:
+                return ValueWithError(value, err)
+            return ValueWithError(float(value[0]), float(err[0]))
+        count = panels.shape[1]
+        room = cfg.max_subdivisions - count
         if room <= 0:
+            worst = int(np.argmax(err / tol))
             raise NonConvergence(
-                f"quadrature error {err:.3e} exceeds tolerance for value {value:.6e}"
-                f" on ({a:.6g}, {b:.6g})"
+                f"quadrature error {err[worst]:.3e} exceeds tolerance for value {value[worst]:.6e}"
+                + (f" (component {worst})" if vector else "")
+                + f" on ({a:.6g}, {b:.6g})"
             )
-        split = np.flatnonzero(panels[:, 3] > tol / len(panels))
-        # past the panel budget, the worst panels go first
-        split = split[np.argsort(-panels[split, 3], kind="stable")[:room]]
-        lo, hi = panels[split, 0], panels[split, 1]
+        over = panels[2 + k :] > (tol / count)[:, None]
+        split = np.flatnonzero(over.any(axis=0))
+        # past the panel budget, the worst panels (relative to tol) go first
+        worst = (panels[2 + k :, split] / tol[:, None]).max(axis=0)
+        split = split[np.argsort(-worst, kind="stable")[:room]]
+        lo, hi = panels[0, split], panels[1, split]
         mid = 0.5 * (lo + hi)
-        new = _panels(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), x_of)
-        panels = np.concatenate((np.delete(panels, split, axis=0), new))
+        new = _panels(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), x_of)[1]
+        panels = np.concatenate((np.delete(panels, split, axis=1), new), axis=1)
 
 
 _FORWARD_STENCILS = {

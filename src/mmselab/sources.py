@@ -10,7 +10,8 @@ kernels for the additive-noise channel Y = W + sqrt(q) X:
 with phi the standard normal density.  Discrete, Gaussian and Gaussian
 mixture laws are one ``mixture`` kind: components (w, mu, sigma) with
 sigma >= 0, where sigma = 0 is an atom.  Closed forms are used for every
-built-in kind; only ``custom`` laws fall back to one quadrature per output point.
+built-in kind; ``custom`` laws take their kernels from a tensor rule, one
+vector-valued quadrature over x for each chunk of nearby output points.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ __all__ = [
 ]
 
 _STD_TOL = 1e-12
+# Inner quadrature of the custom-law kernels and moments: every component
+# to 1e-12 relative, down to the underflow floor of the output tails.
+_KERNEL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=1000)
+# Output points per inner integral of a custom-law kernel.  It bounds the
+# (2 x 32, nodes) arrays of a pass; 64 took as long and raised the peak
+# memory of a scalar sweep by 0.5 MB.
+_CHUNK_POINTS = 32
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -122,19 +130,19 @@ class ScalarSource:
                 (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo)) for k in (1, 2, 3, 4)
             )
         if self.kind == "exponential":
-            loc, s = self.params
-            # raw moments of Exp(1): 1, 2, 6, 24; shift/scale by binomial expansion
-            e = (1.0, 1.0, 2.0, 6.0, 24.0)
-            out = []
-            for k in (1, 2, 3, 4):
-                out.append(
-                    sum(math.comb(k, j) * loc ** (k - j) * s**j * e[j] for j in range(k + 1))
-                )
-            return tuple(out)
+            # raw moments of Exp(1): 1, 2, 6, 24
+            return _affine_moments(*self.params, (1.0, 1.0, 2.0, 6.0, 24.0))
         if self.kind == "custom":
-            cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=400)
-            pdf = lambda x: _pdf_values(self.pdf, x)  # noqa: E731
-            return tuple(integrate(lambda x: x**k * pdf(x), self.support, cfg).value for k in (1, 2, 3, 4))
+            # x^k = (x+)^k + (-1)^k (x-)^k: nonnegative components, each to
+            # its own relative tolerance, however small the moment
+            powers = np.arange(1, 5)[:, None]
+
+            def f(x):
+                halves = np.maximum(np.stack((x, -x)), 0.0)[:, None]  # x+ and x-
+                return (halves**powers * _pdf_values(self.pdf, x)).reshape(8, x.size)
+
+            parts = integrate(f, self.support, _KERNEL_QUADRATURE, breakpoints=(0.0,)).value
+            return tuple(float(v) for v in parts[:4] + (-1.0) ** powers[:, 0] * parts[4:])
         raise ValueError(f"unknown source kind {self.kind!r}")
 
     def moment(self, k: int) -> float:
@@ -205,7 +213,7 @@ class ScalarSource:
             tail = np.exp(tail_exp) * _sp.ndtr(u - 1.0 / ssq) / ssq
             return np.where(pos, head, tail)
         if self.kind == "custom":
-            return _custom_kernel(self, y, q, weight=None)
+            return _phi(y) if q == 0.0 else _custom_kernel(self, y, q, cross=False)
         raise ValueError(f"unknown source kind {self.kind!r}")
 
     def cross_density(self, y, q: float):
@@ -238,7 +246,7 @@ class ScalarSource:
             u = y - sq * loc
             return ((_phi(u) - p) / (s * sq) + y * p) / sq
         if self.kind == "custom":
-            return _custom_kernel(self, y, q, weight=lambda x: x)
+            return _custom_kernel(self, y, q, cross=True)
         raise ValueError(f"unknown source kind {self.kind!r}")
 
     def output_panels(self, q: float) -> tuple:
@@ -281,6 +289,14 @@ class ScalarSource:
         return (-radius, radius), sorted(breakpoints) or None
 
 
+def _affine_moments(loc: float, scale: float, raw: tuple) -> tuple:
+    """(EZ, EZ^2, EZ^3, EZ^4) of Z = loc + scale X, from raw = (1, EX, .., EX^4), binomially."""
+    return tuple(
+        sum(math.comb(k, j) * loc ** (k - j) * scale**j * raw[j] for j in range(k + 1))
+        for k in (1, 2, 3, 4)
+    )
+
+
 def _gaussian_raw_moments(mu: float, s: float) -> tuple:
     v = s * s
     return (
@@ -310,26 +326,45 @@ def _pdf_values(pdf: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([pdf(v) for v in x.tolist()], dtype=float)
 
 
-def _custom_kernel(src: ScalarSource, y: np.ndarray, q: float, weight) -> np.ndarray:
+def _custom_kernel(src: ScalarSource, y: np.ndarray, q: float, cross: bool) -> np.ndarray:
+    """Output density of a custom law at the points y (cross density with ``cross``), for q > 0.
+
+    A tensor rule.  The sorted points go in chunks at most 8 TAIL_WIDTH
+    wide and ``_CHUNK_POINTS`` long.  Each chunk takes one vector integral
+    over the x window its points see, the support cut to
+    [y_min - TAIL_WIDTH, y_max + TAIL_WIDTH] / sqrt(q), with the support
+    ends and 0 as breakpoints, so the pdf is called once per x node for
+    the whole chunk.  The components are pdf phi for every point, or
+    (x+) pdf phi and (x-) pdf phi, whose difference is the cross density.
+    All are nonnegative, so ``_KERNEL_QUADRATURE`` gives each point
+    relative accuracy, in the output tails and where the cross density
+    changes sign.  The width cap keeps the window narrow at high q, where
+    phi(y - sqrt(q) x) is a spike in x; the length cap bounds the
+    (components, nodes) block of a pass.
+    """
     sq = math.sqrt(q)
     lo, hi = src.support
     ys = np.ravel(y)
-    out = np.zeros(ys.shape)
-    for i, yv in enumerate(ys.tolist()):
-        if q > 0:
-            a = max(lo, (yv - TAIL_WIDTH) / sq)
-            b = min(hi, (yv + TAIL_WIDTH) / sq)
-        else:
-            a, b = lo, hi
+    order = np.argsort(ys, kind="stable")
+    ends = np.searchsorted(ys[order], ys[order] + 8.0 * TAIL_WIDTH, side="right")
+    ends = np.minimum(ends, np.arange(ys.size) + _CHUNK_POINTS)
+    out = np.zeros((2 if cross else 1, ys.size))
+    start = 0
+    while start < ys.size:
+        chunk = order[start : ends[start]]
+        start = ends[start]
+        a = max(lo, (ys[chunk[0]] - TAIL_WIDTH) / sq)
+        b = min(hi, (ys[chunk[-1]] + TAIL_WIDTH) / sq)
         if not a < b:
             continue
 
-        def f(x, yv=yv):
-            v = _pdf_values(src.pdf, x) * _phi(yv - sq * x)
-            return v if weight is None else weight(x) * v
+        def f(x, yc=ys[chunk, None]):
+            v = _phi(yc - sq * x) * _pdf_values(src.pdf, x)
+            return np.concatenate((v * np.maximum(x, 0.0), v * np.maximum(-x, 0.0))) if cross else v
 
-        out[i] = integrate(f, (a, b))[0]
-    return out.reshape(np.shape(y))
+        parts = integrate(f, (a, b), _KERNEL_QUADRATURE, breakpoints=(lo, 0.0, hi)).value
+        out[:, chunk] = parts.reshape(len(out), chunk.size)
+    return (out[0] - out[1] if cross else out[0]).reshape(np.shape(y))
 
 
 # -- constructors ---------------------------------------------------------
@@ -381,8 +416,9 @@ def gaussian_mixture(weight, mu1, sigma1, mu2, sigma2, name: str = "mixture") ->
 def custom_source(pdf, support, name: str = "custom") -> ScalarSource:
     """Standardized law from an arbitrary density (moments by quadrature).
 
-    ``pdf`` takes one point and returns a float: the kernels and moments
-    call it one point at a time, on the nodes of their quadratures.
+    ``pdf`` takes one point and returns a float.  The moments and the
+    channel kernels call it once per node of their quadratures in x, and a
+    kernel shares each value among a whole chunk of output points.
     """
     raw = ScalarSource(kind="custom", name=name, pdf=pdf, support=tuple(support))
     return standardize(raw)
@@ -421,8 +457,14 @@ def standardize(src: ScalarSource) -> ScalarSource:
     if src.kind == "custom":
         base_pdf, (lo, hi) = src.pdf, src.support
         pdf = lambda x: base_pdf(m1 + s * x) * s
+        # the moments of (X - m1)/s from the raw ones, with no second quadrature
+        moments = _affine_moments(-m1 / s, 1.0 / s, (1.0, *src._moments))
         return ScalarSource(
-            kind="custom", name=src.name, pdf=pdf, support=((lo - m1) / s, (hi - m1) / s)
+            kind="custom",
+            name=src.name,
+            pdf=pdf,
+            support=((lo - m1) / s, (hi - m1) / s),
+            _moments=moments,
         )
     raise ValueError(f"unknown source kind {src.kind!r}")
 

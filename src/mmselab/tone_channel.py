@@ -95,6 +95,16 @@ def _radial_mixture(law: AmplitudeLaw, sq: float, r: np.ndarray) -> tuple:
     return top + np.log(total), mean
 
 
+def _ring_breakpoints(law: AmplitudeLaw, sq: float) -> list:
+    """Radii a sqrt(x) -+ 8 around the ring of each magnitude a, for per-tone snr x = sq^2.
+
+    The radial density of magnitude a is a unit-width bump at r = a sqrt(x).
+    At high snr it is far narrower than the domain, and a first
+    Gauss-Kronrod rule that misses it sees no output at all.
+    """
+    return [a * sq + d for a, _ in law.magnitudes for d in (-8.0, 8.0)]
+
+
 def tone_divergence(
     law: AmplitudeLaw, q: float, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE
 ) -> float:
@@ -120,7 +130,7 @@ def tone_divergence(
 
     a_max = max(a for a, _ in law.magnitudes)
     domain = (0.0, sq * a_max + TAIL_WIDTH * math.sqrt(half_var))
-    est, err = integrate(integrand, domain, cfg)
+    est, err = integrate(integrand, domain, cfg, breakpoints=_ring_breakpoints(law, sq))
     return _in_range("tone divergence", est, err, law.name, q, math.log(half_var))
 
 
@@ -162,7 +172,8 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
         return r * np.exp(log_f) * est * est
 
     a_max = max(a for a, _ in law.magnitudes)
-    est, err = integrate(integrand, (0.0, sq * a_max + TAIL_WIDTH), cfg)
+    domain = (0.0, sq * a_max + TAIL_WIDTH)
+    est, err = integrate(integrand, domain, cfg, breakpoints=_ring_breakpoints(law, sq))
     return _in_range("tone mmse", 1.0 - est, err, law.name, x, gaussian)
 
 

@@ -205,6 +205,23 @@ def test_scalar_narrow_mixture_high_snr(tmp_path, sigma, q):
     assert float(row["nongaussianity"]) == pytest.approx(expected_d, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "amplitude, q, expected",
+    [
+        ("unit", "1e6", 1.4653387124372994e-05),
+        ("mags:0.2,0.8,2.2,0.2", "1e5", 1.109178942482205e-04),
+    ],
+)
+def test_tones_high_snr_match_the_rician_reference(tmp_path, amplitude, q, expected):
+    # each magnitude's ring is far narrower than the radial domain; without
+    # breakpoints around it the divergence came out 1.0 and cmmse 65% high.
+    # expected: the tensor Rician reference of the benchmark
+    argv = ["tones", "--amplitude", amplitude, "--n-list", "1", "--q-grid", q]
+    code, out = run_cli(argv, tmp_path)
+    assert code == EXIT_OK
+    assert float(read_csv(out)[0]["cmmse_exact"]) == pytest.approx(expected, rel=1e-9)
+
+
 def test_tones_zero_probability_magnitude_is_dropped(tmp_path):
     grid = ["--n-list", "1", "--q-grid", "1"]
     code, out = run_cli(["tones", "--amplitude", "mags:1,1,2,0", *grid], tmp_path, "mags.csv")

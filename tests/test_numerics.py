@@ -104,6 +104,46 @@ def test_nonconvergence_on_rough_integrand():
         integrate(lambda y: abs(y - math.pi / 7) ** 0.2, (0.0, 1.0), cfg)
 
 
+def _laplace(y):
+    return 0.5 * np.exp(-np.abs(y))
+
+
+def test_vector_components_meet_their_own_tolerance():
+    # scales 1e-200, 1 and 1e100 on one set of panels: each component is
+    # held to rel_tol of its own value; the breakpoint at the Laplace kink
+    # works on an infinite domain too
+    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+
+    def f(y):
+        return np.stack((1e-200 * normal_pdf(y), y * y * normal_pdf(y), 1e100 * _laplace(y)))
+
+    val, err = integrate(f, (-math.inf, math.inf), cfg, breakpoints=(0.0,))
+    assert val.shape == err.shape == (3,)
+    np.testing.assert_allclose(val, [1e-200, 1.0, 1e100], rtol=1e-12, atol=0.0)
+    assert np.all(err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(val)))
+
+
+def test_one_component_vector_returns_the_scalar_floats():
+    f = lambda y: y * y * normal_pdf(y)  # noqa: E731
+    scalar = integrate(f, (-math.inf, math.inf))
+    vector = integrate(lambda y: f(y)[None, :], (-math.inf, math.inf))
+    assert type(scalar.value) is float and type(scalar.error) is float
+    assert vector.value.shape == (1,)
+    assert (vector.value[0], vector.error[0]) == scalar
+
+
+def test_vector_nonfinite_component_detected():
+    with pytest.raises(NonFinite, match="at x=0.0"):
+        integrate(lambda y: np.stack((normal_pdf(y), np.where(y == 0.0, np.nan, 1.0))), (-1.0, 1.0))
+
+
+def test_vector_nonconvergence_names_the_component():
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-18, max_subdivisions=3)
+    rough = lambda y: np.stack((np.ones_like(y), abs(y - math.pi / 7) ** 0.2))  # noqa: E731
+    with pytest.raises(NonConvergence, match=r"\(component 1\)"):
+        integrate(rough, (0.0, 1.0), cfg)
+
+
 def test_derivative_simple_powers():
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-18)
     est = derivative_at_zero(lambda q: q * q, 2, cfg)

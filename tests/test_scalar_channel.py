@@ -330,57 +330,88 @@ def _composite_rule(a, b, width):
     return (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
 
 
-def test_laplace_custom_law_is_standard_and_usable():
-    # an infinite support: the moments come from QUADPACK's infinite-range rule
-    r2 = math.sqrt(2.0)
-    src = custom_source(lambda x: math.exp(-r2 * abs(x)) / r2, (-math.inf, math.inf))
-    assert src.is_standard
-    assert [src.moment(k) for k in (1, 2, 3, 4)] == pytest.approx([0.0, 1.0, 0.0, 6.0], abs=1e-12)
-    q, sq = 8.0, math.sqrt(8.0)
-    got = mmse(ScalarChannel(src, q), QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15, max_subdivisions=400))
-    # reference: a tensor Gauss-Legendre rule over (x, y), split at the kink x = 0
-    xl, wl = _composite_rule(-25.0, 0.0, 0.2)
-    xr, wr = _composite_rule(0.0, 25.0, 0.2)
-    x = np.concatenate([xl, xr])
-    fx = np.concatenate([wl, wr]) * np.exp(-r2 * np.abs(x)) / r2
-    y, wy = _composite_rule(-25.0 * sq - 12.0, 25.0 * sq + 12.0, 1.0)
-    ref = 0.0
+def _tensor_reference(pdf, pieces, q):
+    """(mmse, D) by a tensor Gauss-Legendre rule over (x, y).
+
+    ``pdf`` takes arrays; ``pieces`` are x intervals, split at the kinks of
+    the density.  The y rule covers sqrt(q) x -+ 12 for every x node.
+    """
+    sq = math.sqrt(q)
+    rules = [_composite_rule(a, b, 0.2) for a, b in pieces]
+    x = np.concatenate([r[0] for r in rules])
+    fx = np.concatenate([r[1] for r in rules]) * pdf(x) / math.sqrt(2.0 * math.pi)
+    y, wy = _composite_rule(sq * pieces[0][0] - 12.0, sq * pieces[-1][1] + 12.0, 1.0)
+    ref_mmse = ref_d = 0.0
     for start in range(0, y.size, 256):
         block = slice(start, start + 256)
         kern = np.exp(-0.5 * (y[block, None] - sq * x) ** 2) * fx
         m0, m1, m2 = kern.sum(axis=1), kern @ x, kern @ (x * x)
-        ref += float(np.dot(wy[block], m2 - m1 * m1 / m0)) / math.sqrt(2.0 * math.pi)
+        log_g = -0.5 * y[block] ** 2 / (1.0 + q) - 0.5 * math.log(2.0 * math.pi * (1.0 + q))
+        ref_mmse += float(np.dot(wy[block], m2 - m1 * m1 / m0))
+        ref_d += float(np.dot(wy[block], m0 * (np.log(m0) - log_g)))
+    return ref_mmse, ref_d
+
+
+_R2 = math.sqrt(2.0)
+_R6 = math.sqrt(6.0)
+LAPLACE = custom_source(lambda x: math.exp(-_R2 * abs(x)) / _R2, (-math.inf, math.inf))
+LAPLACE_PIECES = ((-25.0, 0.0), (0.0, 25.0))
+# no kink is declared: the kernels put a breakpoint at x = 0 anyway
+TRIANGULAR = custom_source(lambda x: max(_R6 - abs(x), 0.0) / 6.0, (-_R6, _R6))
+TRIANGULAR_PIECES = ((-_R6, 0.0), (0.0, _R6))
+
+
+def _laplace_pdf(x):
+    return np.exp(-_R2 * np.abs(x)) / _R2
+
+
+def _triangular_pdf(x):
+    return np.maximum(_R6 - np.abs(x), 0.0) / 6.0
+
+
+# the bench's configuration of custom-law points: `mmselab scalar` at its default --tol
+CUSTOM_CFG = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15, max_subdivisions=400)
+
+
+def test_laplace_custom_law_is_standard_and_usable():
+    # an infinite support: the moments come from the infinite-range substitution
+    src = LAPLACE
+    assert src.is_standard
+    assert [src.moment(k) for k in (1, 2, 3, 4)] == pytest.approx([0.0, 1.0, 0.0, 6.0], abs=1e-12)
+    q = 8.0
+    got = mmse(ScalarChannel(src, q), CUSTOM_CFG)
+    # reference: a tensor Gauss-Legendre rule over (x, y), split at the kink x = 0
+    ref = _tensor_reference(_laplace_pdf, LAPLACE_PIECES, q)[0]
     assert 0.0 < got < 1.0 / (1.0 + q)
     assert got == pytest.approx(ref, abs=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the inner integral of sources._custom_kernel runs at DEFAULT_QUADRATURE, too loose for"
-    " the outer divergence: 0.0162491623734937 exits clean, 1.3e-6 relative from the reference",
-)
 def test_laplace_custom_law_divergence_meets_its_tolerance():
-    r2 = math.sqrt(2.0)
-    src = custom_source(lambda x: math.exp(-r2 * abs(x)) / r2, (-math.inf, math.inf))
-    q, sq = 2.0, math.sqrt(2.0)
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15, max_subdivisions=400)
-    got = nongaussianity(ScalarChannel(src, q), cfg)
-    # reference: p_Y from a Gauss-Legendre rule in x split at the kink, then
-    # the divergence from N(0, 1 + q) by a Gauss-Legendre rule in y
-    xl, wl = _composite_rule(-25.0, 0.0, 0.2)
-    xr, wr = _composite_rule(0.0, 25.0, 0.2)
-    x = np.concatenate([xl, xr])
-    fx = np.concatenate([wl, wr]) * np.exp(-r2 * np.abs(x)) / r2
-    y, wy = _composite_rule(-25.0 * sq - 12.0, 25.0 * sq + 12.0, 1.0)
-    ref = 0.0
-    for start in range(0, y.size, 256):
-        block = slice(start, start + 256)
-        p = np.exp(-0.5 * (y[block, None] - sq * x) ** 2) @ fx / math.sqrt(2.0 * math.pi)
-        log_g = -0.5 * y[block] ** 2 / (1.0 + q) - 0.5 * math.log(2.0 * math.pi * (1.0 + q))
-        ref += float(np.dot(wy[block], p * (np.log(p) - log_g)))
+    q = 2.0
+    got = nongaussianity(ScalarChannel(LAPLACE, q), CUSTOM_CFG)
+    ref = _tensor_reference(_laplace_pdf, LAPLACE_PIECES, q)[1]
     assert ref == pytest.approx(0.016249140718631594, rel=1e-11)
-    assert got == pytest.approx(ref, rel=cfg.rel_tol)
+    assert got == pytest.approx(ref, rel=CUSTOM_CFG.rel_tol)
+
+
+@pytest.mark.parametrize(
+    "src, pdf, pieces, q",
+    [
+        (LAPLACE, _laplace_pdf, LAPLACE_PIECES, 8.0),
+        (TRIANGULAR, _triangular_pdf, TRIANGULAR_PIECES, 0.3),
+        (TRIANGULAR, _triangular_pdf, TRIANGULAR_PIECES, 8.0),
+    ],
+    ids=["laplace-8", "triangular-0.3", "triangular-8"],
+)
+def test_custom_laws_match_a_tensor_reference(src, pdf, pieces, q):
+    # the kernels' inner integrals hold each output point to 1e-12 relative,
+    # so both values meet the outer tolerance against the reference
+    ref_mmse, ref_d = _tensor_reference(pdf, pieces, q)
+    ch = ScalarChannel(src, q)
+    assert mmse(ch, CUSTOM_CFG) == pytest.approx(ref_mmse, rel=0.0, abs=CUSTOM_CFG.rel_tol)
+    assert nongaussianity(ch, CUSTOM_CFG) == pytest.approx(ref_d, rel=CUSTOM_CFG.rel_tol)
+    if src is LAPLACE:
+        assert ref_d == pytest.approx(0.043261395474105, rel=1e-11)
 
 
 @pytest.mark.parametrize("q", [1e6, 1e7])

@@ -165,12 +165,6 @@ def test_custom_finite_support_gets_the_uniform_panels():
     assert laplace.output_panels(1e6)[1] is None
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="custom moments are integrated at rel_tol 1e-10, abs_tol 1e-12, once for the raw and"
-    " again for the standardized law: EX^2 - 1 = -1.6e-12 misses the 1e-12 of is_standard",
-)
 def test_custom_triangular_law_is_standard():
     # triangular density on [0, 1] with mode c
     c = 0.35

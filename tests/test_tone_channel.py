@@ -88,6 +88,30 @@ def test_tone_divergence_magnitude_mixture():
     assert d == pytest.approx(TONE_DIV_1, rel=0.5)
 
 
+@pytest.mark.parametrize("x", [1e5, 1e6, 1e7])
+def test_unit_divergence_high_snr_limit(x):
+    # a ring of radius sqrt(x), unit radial width and uniform angle against
+    # the Gaussian of variance 1 + x/2: D tends to this limit, from above by 9/(4x)
+    limit = 0.5 * math.log(x) + 0.5 - math.log(2.0) - 0.5 * math.log(2.0 * math.pi)
+    assert tone_divergence(unit_amplitude(), x) - limit == pytest.approx(9.0 / (4.0 * x), rel=1e-4)
+
+
+@pytest.mark.parametrize("law", [unit_amplitude(), TWO_MAGNITUDES], ids=["unit", "two-mag"])
+def test_divergence_bounds_up_to_high_snr(law):
+    for x in 10.0 ** np.arange(11):
+        assert 0.0 <= tone_divergence(law, x) <= math.log1p(x / 2.0)
+
+
+def test_separated_rings_divergence_gap():
+    # far-apart rings: D(two) - D(unit) -> -H(a) - E ln a, up to O(1/(a^2 x))
+    a, p = np.array(TWO_MAGNITUDES.magnitudes).T
+    entropy = -float(p @ np.log(p))
+    gap = -entropy - float(p @ np.log(a))
+    x = 1e10
+    got = tone_divergence(TWO_MAGNITUDES, x) - tone_divergence(unit_amplitude(), x)
+    assert got == pytest.approx(gap, abs=1e-7)
+
+
 def test_dn_divergence_identity_and_gaussian():
     law = unit_amplitude()
     q = 1.3
