@@ -5,11 +5,14 @@ Three tools, none of which share code with the quadrature modules:
 - :func:`simulate_path`: Euler discretization of the integrated-observation
   channel  d eta = sqrt(q) xi(t) dt + dW  over one drawn tone signal.
 - :func:`kalman_cmmse` / :func:`kalman_mmse`: exact error covariances of the
-  Gaussian-amplitude tone signal on the 2N static Fourier coefficients, as
-  inverses of running sums of information matrices.  Error covariances of a
-  linear-Gaussian model are data independent, so no sampling is involved,
-  and because the state is static the smoothing covariance equals the final
-  filtering covariance.
+  Gaussian-amplitude tone signal on the 2N static Fourier coefficients.
+  The causal error is a sum over innovations: each chunk of steps takes
+  the variances of its measurement innovations from one Cholesky
+  factorization, given the information matrix at the chunk's start.  The
+  non-causal error is one solve with the final information matrix.  Error
+  covariances of a linear-Gaussian model are data independent, so no
+  sampling is involved, and because the state is static the smoothing
+  covariance equals the final filtering covariance.
 - :func:`mc_scalar_mmse`: seeded Monte Carlo estimate of the scalar-channel
   error E[(X - E[X|Y])^2] with its standard error.
 
@@ -26,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import NumericsError, _check_snr
-from .scalar_channel import ScalarChannel, conditional_mean
+from .scalar_channel import _BLOCK_POINTS, ScalarChannel, conditional_mean
 from .sources import AmplitudeLaw, ScalarSource
 
 __all__ = [
@@ -44,13 +47,19 @@ __all__ = [
 
 HORIZON = 2.0 * math.pi
 
-# Steps per chunk of the information sum.  It bounds the stacked
-# (steps, 2N, 2N) arrays: unchunked, N = 16 at 8192 steps needs 64 MB per array.
-_CHUNK_STEPS = 128
+# Steps per chunk of the innovations form.  The (chunks, B, B) innovation
+# covariances hold B = 32 doubles per step, as many as the basis rows at
+# N = 16: 2 MB at 8192 steps, where one (2N, 2N) information matrix per
+# step would need 64 MB.  Of 16-96, 32 was the fastest for N = 1..16 at
+# 2048-8192 steps.
+_CHUNK_STEPS = 32
+# Declared relative accuracy of the causal error (see _riccati).
+_CAUSAL_REL_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 class IllConditioned(NumericsError):
-    """An information matrix is singular to working precision."""
+    """The causal error's rounding bound exceeds its declared accuracy."""
 
 
 @dataclass(frozen=True)
@@ -122,51 +131,98 @@ def simulate_path(setup: KalmanSetup, law: AmplitudeLaw, rng: np.random.Generato
 
 
 @lru_cache(maxsize=64)
-def _riccati(setup: KalmanSetup) -> tuple:
-    """(causal, non-causal) signal-error energies of the Gaussian tone model.
+def _riccati(setup: KalmanSetup) -> float:
+    """Causal (filtering) signal-error energy of the Gaussian tone model.
 
     State: 2N static coefficients, prior N(0, I/N); per-step scalar
     measurement row sqrt(q dt) h(t_j) with unit noise variance.  The error
     covariance after step j is the inverse of J_j = N I + q dt sum_{i<=j}
-    h_i h_i', a sum of positive semidefinite terms.  The causal error
-    integrates h_j' J_j^-1 h_j over time; the non-causal error uses the final J.
+    h_i h_i', and the causal error integrates h_j' J_j^-1 h_j dt.  With the
+    innovation variance 1 + x_j, x_j = q dt h_j' J_{j-1}^-1 h_j, that term
+    is x_j / (1 + x_j) / q.
+
+    Innovations form: for a chunk of B rows H starting at step s, with
+    P = J_s^-1, the innovations of the chunk's measurements have covariance
+    S = I + G, G = q dt H P H', and in its Cholesky factor S = L L' the
+    pivot L_kk^2 is 1 + x_k.  Where L_kk^2 > 2, x_k = L_kk^2 - 1; elsewhere
+    x_k = G_kk - sum_{m<k} L_km^2, which keeps relative accuracy at low q.
+    Every chunk is factored in one batch, with J_s from a cumulative sum of
+    the chunks' H'H; a partial last chunk is padded with zero rows, whose
+    x is 0.
+
+    Rounding: J_s has eigenvalues in [N, N (1 + q)] and G_kk <= q / steps,
+    so the relative error is of order (1 + q) eps.  Past ``_CAUSAL_REL_TOL``
+    that bound raises IllConditioned rather than return a value it does
+    not hold (q above about 4.5e9).
     """
-    n, dt = setup.n_tones, setup.dt
-    basis = _basis_matrix(setup)
-    info = n * np.eye(2 * n)
-    causal = 0.0
-    try:
-        for start in range(0, setup.n_steps, _CHUNK_STEPS):
-            rows = basis[start : start + _CHUNK_STEPS]
-            running = info + np.cumsum(setup.q * dt * rows[:, :, None] * rows[:, None, :], axis=0)
-            gains = np.linalg.solve(running, rows[..., None])[..., 0]  # J_j^-1 h_j
-            causal += float(np.sum(rows * gains)) * dt
-            info = running[-1]
-        smoothed = float(np.trace(np.linalg.solve(info, basis.T @ basis))) * dt
-    except np.linalg.LinAlgError:
-        raise IllConditioned(f"information matrix of N={n}, q={setup.q!r} is singular") from None
-    return causal, smoothed
+    n, dt, q = setup.n_tones, setup.dt, setup.q
+    if q == 0.0:
+        return 1.0  # the prior energy: sum_j |h_j|^2 dt / N = 1
+    bound = (1.0 + q) * _EPS
+    if bound > _CAUSAL_REL_TOL:
+        raise IllConditioned(
+            f"causal error of N={n}, q={q!r}: rounding bound {bound:.1e} "
+            f"exceeds {_CAUSAL_REL_TOL:.0e}"
+        )
+    b = _CHUNK_STEPS
+    rows = np.zeros((-(-setup.n_steps // b) * b, 2 * n))
+    rows[: setup.n_steps] = _basis_matrix(setup)
+    rows = rows.reshape(-1, b, 2 * n)
+    cols = rows.transpose(0, 2, 1)
+    info = np.cumsum(cols @ rows, axis=0)  # sums to each chunk's end ...
+    info[1:] = info[:-1]  # ... moved to the next chunk's start
+    info[0] = 0.0
+    info *= q * dt
+    info += n * np.eye(2 * n)
+    w = np.linalg.inv(np.linalg.cholesky(info)) @ cols
+    g = w.transpose(0, 2, 1) @ w
+    g *= q * dt
+    g_diag = np.diagonal(g, axis1=1, axis2=2).copy()
+    diag = np.arange(b)
+    g[:, diag, diag] += 1.0
+    chol = np.linalg.cholesky(g)
+    pivots = np.square(chol[:, diag, diag])
+    chol[:, diag, diag] = 0.0
+    x = np.where(pivots > 2.0, pivots - 1.0, g_diag - np.einsum("cij,cij->ci", chol, chol))
+    return float(np.sum(x / (1.0 + x))) / q
 
 
 def kalman_cmmse(setup: KalmanSetup) -> float:
-    """Time-integrated filtering error of the Gaussian tone signal."""
-    return _riccati(setup)[0]
+    """Time-integrated filtering error of the Gaussian tone signal.
+
+    Raises IllConditioned where the rounding bound of :func:`_riccati`
+    exceeds its declared accuracy.
+    """
+    return _riccati(setup)
 
 
 def kalman_mmse(setup: KalmanSetup) -> float:
-    """Time-integrated smoothing error of the Gaussian tone signal."""
-    return _riccati(setup)[1]
+    """Time-integrated smoothing error of the Gaussian tone signal.
+
+    One solve with the final information matrix J = N I + q dt B'B, B the
+    basis rows: the error is dt trace(J^-1 B'B).
+    """
+    n, dt = setup.n_tones, setup.dt
+    basis = _basis_matrix(setup)
+    gram = basis.T @ basis
+    return float(np.trace(np.linalg.solve(n * np.eye(2 * n) + setup.q * dt * gram, gram))) * dt
 
 
 def mc_scalar_mmse(src: ScalarSource, q: float, cfg: McConfig) -> McEstimate:
-    """Monte Carlo scalar-channel error over paired draws of (X, W)."""
+    """Monte Carlo scalar-channel error over paired draws of (X, W).
+
+    The outputs and squared errors are formed block by block, in cache.
+    """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.sample_count
     x = src.sample(rng, n)
     w = rng.standard_normal(n)
-    y = w + math.sqrt(q) * x
-    estimate = conditional_mean(ScalarChannel(src, q), y)
-    sq_err = np.square(x - estimate)
+    ch, sq = ScalarChannel(src, q), math.sqrt(q)
+    sq_err = np.empty(n)
+    for start in range(0, n, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        y = w[block] + sq * x[block]
+        np.square(x[block] - conditional_mean(ch, y), out=sq_err[block])
     value = float(np.mean(sq_err))
     std_error = float(np.std(sq_err, ddof=1) / math.sqrt(n))
     return McEstimate(value=value, std_error=std_error, sample_count=n)

@@ -59,6 +59,11 @@ __all__ = [
 ]
 
 _P_FLOOR = 1e-300
+# Points per block of conditional_mean.  The kernels' temporaries for one
+# block (256 KB per array) stay in cache: for the six built-in laws at 1e6
+# points, 2^15 took 405 ms against 552 ms in one pass, and 2^12 or 2^18
+# took 500 ms.
+_BLOCK_POINTS = 2**15
 
 # First step h0 of the divergence derivative schedule (see
 # divergence_derivatives_at_zero).
@@ -79,12 +84,20 @@ class ScalarChannel:
 
 
 def conditional_mean(ch: ScalarChannel, y):
-    """Bayes estimate E[X | Y = y] (vectorized); 0 where the density underflows."""
-    p = ch.source.output_density(y, ch.q)
-    a = ch.source.cross_density(y, ch.q)
-    p_arr = np.asarray(p, dtype=float)
-    out = np.divide(a, p_arr, out=np.zeros_like(p_arr), where=p_arr > _P_FLOOR)
-    return float(out) if np.ndim(y) == 0 else out
+    """Bayes estimate E[X | Y = y] (vectorized); 0 where the density underflows.
+
+    Evaluated in blocks of ``_BLOCK_POINTS``; the built-in kernels work
+    point by point, so the blocks change no bit of their result.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    out = np.zeros(flat.size)
+    for start in range(0, flat.size, _BLOCK_POINTS):
+        block = flat[start : start + _BLOCK_POINTS]
+        p = ch.source.output_density(block, ch.q)
+        a = ch.source.cross_density(block, ch.q)
+        np.divide(a, p, out=out[start : start + _BLOCK_POINTS], where=p > _P_FLOOR)
+    return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 
 def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

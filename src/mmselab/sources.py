@@ -69,15 +69,13 @@ def _ndtr_diff(v1, v2):
 
     When both arguments are positive the difference is formed from the
     complementary tail (mirrored), where the terms are far apart in
-    magnitude and no cancellation occurs.
+    magnitude and no cancellation occurs.  With s = -1 there and 1
+    elsewhere, s (Phi(s v2) - Phi(s v1)) is both branches in two ``ndtr``
+    calls, bit for bit: negation is exact, a - b = -(b - a), and adding
+    0.0 turns the -0.0 of equal terms into +0.0.
     """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    return np.where(
-        v1 >= 0.0,
-        _sp.ndtr(-v1) - _sp.ndtr(-v2),
-        _sp.ndtr(v2) - _sp.ndtr(v1),
-    )
+    s = np.where(np.asarray(v1) >= 0.0, -1.0, 1.0)
+    return s * (_sp.ndtr(s * v2) - _sp.ndtr(s * v1)) + 0.0
 
 
 @dataclass(frozen=True)
@@ -163,8 +161,16 @@ class ScalarSource:
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.kind == "mixture":
+            # the components as rng.choice(len(w), n, p=w) draws them, one
+            # uniform per draw against the normalized cdf, with a comparison
+            # per component in place of its binary search: the same stream
             w, mu, s = np.array(self.components).T
-            idx = rng.choice(len(w), size=n, p=w)
+            cdf = np.cumsum(w)
+            cdf /= cdf[-1]
+            u = rng.random(n)
+            idx = np.zeros(n, dtype=np.intp)
+            for edge in cdf[:-1]:
+                idx += u >= edge
             x = rng.standard_normal(n)
             x *= s[idx]
             x += mu[idx]
@@ -204,14 +210,19 @@ class ScalarSource:
             # form overflows; there the equivalent exponential-tail form
             # exp(1/(2 ssq^2) - u/ssq) Phi(u - 1/ssq) / ssq has a negative
             # exponent and is the stable one.
+            # Each point is evaluated in its own branch only.
             ssq = s * sq
-            u = y - sq * loc
-            w = (1.0 / ssq - u) / math.sqrt(2.0)
-            pos = w >= 0.0
-            head = _sp.erfcx(np.where(pos, w, 0.0)) * np.exp(-0.5 * np.square(u)) / (2.0 * ssq)
-            tail_exp = np.where(pos, -1.0, 0.5 / (ssq * ssq) - u / ssq)
-            tail = np.exp(tail_exp) * _sp.ndtr(u - 1.0 / ssq) / ssq
-            return np.where(pos, head, tail)
+            u = np.ravel(y) - sq * loc
+            pos = (1.0 / ssq - u) / math.sqrt(2.0) >= 0.0
+            head, tail = u[pos], u[~pos]
+            out = np.empty_like(u)
+            out[pos] = (
+                _sp.erfcx((1.0 / ssq - head) / math.sqrt(2.0))
+                * np.exp(-0.5 * np.square(head))
+                / (2.0 * ssq)
+            )
+            out[~pos] = np.exp(0.5 / (ssq * ssq) - tail / ssq) * _sp.ndtr(tail - 1.0 / ssq) / ssq
+            return out.reshape(y.shape)
         if self.kind == "custom":
             return _phi(y) if q == 0.0 else _custom_kernel(self, y, q, cross=False)
         raise ValueError(f"unknown source kind {self.kind!r}")

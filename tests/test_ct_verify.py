@@ -9,7 +9,6 @@ from mmselab.ct_verify import (
     KalmanSetup,
     McConfig,
     _basis_matrix,
-    _riccati,
     kalman_cmmse,
     kalman_mmse,
     mc_scalar_mmse,
@@ -135,7 +134,55 @@ def _covariance_recursion(setup):
 @pytest.mark.parametrize("q", [0.5, 3.0, 50.0])
 def test_information_sum_matches_covariance_recursion(n, q):
     setup = KalmanSetup(n, q, 512)
-    assert _riccati(setup) == pytest.approx(_covariance_recursion(setup), rel=1e-12, abs=0.0)
+    errors = (kalman_cmmse(setup), kalman_mmse(setup))
+    assert errors == pytest.approx(_covariance_recursion(setup), rel=1e-12, abs=0.0)
+
+
+def _rank_one_causal(n_tones, q, n_steps):
+    """Causal error of the rank-one covariance recursion in 60-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(60):
+        dt = 2 * mp.pi / n_steps
+        q = mpmath.mpf(q)
+        d = 2 * n_tones
+        p_cov = [[mpmath.mpf(1) / n_tones if i == j else mpmath.mpf(0) for j in range(d)] for i in range(d)]
+        scale = 1 / mp.sqrt(2 * mp.pi)
+        freqs = range(1, n_tones + 1)
+        causal = mpmath.mpf(0)
+        for step in range(n_steps):
+            t = step * dt
+            row = [mp.cos(f * t) * scale for f in freqs] + [mp.sin(f * t) * scale for f in freqs]
+            pr = [mp.fsum(a * b for a, b in zip(p_row, row)) for p_row in p_cov]
+            gain = q * dt * mp.fsum(a * b for a, b in zip(row, pr))
+            causal += gain / (1 + gain) / q
+            f = q * dt / (1 + gain)
+            p_cov = [[p_cov[i][j] - f * pr[i] * pr[j] for j in range(d)] for i in range(d)]
+        return float(causal)
+
+
+@pytest.mark.parametrize(
+    "n,q,reference",
+    [(8, 1e18, 1.0143558686995774e-16), (8, 1e12, 1.00549170629842e-10)],
+)
+def test_high_snr_causal_error_is_accurate_or_raises(n, q, reference):
+    # both exited 0 with 3.4e-4 and 5e-9 relative errors before the
+    # causal error carried a rounding bound
+    assert _rank_one_causal(n, q, 128) == pytest.approx(reference, rel=1e-15)
+    try:
+        value = kalman_cmmse(KalmanSetup(n, q, 128))
+    except IllConditioned as exc:
+        assert f"N={n}, q={q!r}" in str(exc)
+        argv = ["kalman", "--n-list", str(n), "--q-grid", repr(q), "--base-steps", "128"]
+        assert main(argv + ["--dt-levels", "2"]) == EXIT_NUMERICAL
+    else:
+        assert value == pytest.approx(reference, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("n,q", [(1, 4e9), (4, 1e9), (8, 1e8)])
+def test_causal_error_meets_declared_accuracy_below_the_bound(n, q):
+    setup = KalmanSetup(n, q, 128)
+    assert kalman_cmmse(setup) == pytest.approx(_rank_one_causal(n, q, 128), rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 4])

@@ -86,6 +86,17 @@ def test_conditional_mean_closed_forms():
     np.testing.assert_allclose(conditional_mean(ch0, ys), 0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+def test_conditional_mean_blocks_change_no_bit(blocks, extra):
+    size = blocks * scalar_channel._BLOCK_POINTS + extra
+    for i, src in enumerate(builtin_sources()):
+        ch = ScalarChannel(src, 2.5)
+        y = 4.0 * np.random.default_rng(i).standard_normal(size)
+        p, a = src.output_density(y, ch.q), src.cross_density(y, ch.q)
+        one_pass = np.divide(a, p, out=np.zeros_like(p), where=p > 1e-300)
+        assert conditional_mean(ch, y).tobytes() == one_pass.tobytes(), src.name
+
+
 @pytest.mark.parametrize("q,expected", sorted(RAD_MMSE.items()))
 def test_rademacher_mmse_frozen(q, expected):
     assert mmse(ScalarChannel(rademacher(), q)) == pytest.approx(expected, abs=1e-11)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from mmselab import sources
 from mmselab.numerics import integrate
@@ -114,6 +115,61 @@ def test_sample_statistics_all_sources():
         draws = src.sample(rng, 200_000)
         assert abs(draws.mean()) < 0.02, src.name
         assert abs(draws.var() - 1.0) < 0.04, src.name
+
+
+def test_mixture_sampler_draws_the_stream_of_rng_choice():
+    # the categorical draw replaces rng.choice(len(w), n, p=w) bit for bit,
+    # zero weights included, and leaves the generator in the same state
+    laws = [
+        ((1.0, 0.0, 1.0),),
+        ((0.3, -1.0, 0.5), (0.7, 2.0, 1.2)),
+        ((0.0, -1.0, 0.0), (0.5, 0.0, 0.0), (0.5, 2.0, 0.0)),
+        ((0.5, -1.0, 0.0), (0.5, 0.0, 0.0), (0.0, 2.0, 0.0)),
+        tuple((0.1, float(i), 0.1) for i in range(10)),
+    ]
+    for comps in laws:
+        w, mu, s = np.array(comps).T
+        for seed, n in ((0, 1), (1, 7), (2, 4099)):
+            rng = np.random.default_rng(seed)
+            x = ScalarSource(kind="mixture", name="m", components=comps).sample(rng, n)
+            ref = np.random.default_rng(seed)
+            idx = ref.choice(len(w), size=n, p=w)
+            expected = ref.standard_normal(n) * s[idx] + mu[idx]
+            assert x.tobytes() == expected.tobytes()
+            assert rng.random() == ref.random()
+
+
+def _four_call_ndtr_diff(v1, v2):
+    return np.where(v1 >= 0.0, sp.ndtr(-v1) - sp.ndtr(-v2), sp.ndtr(v2) - sp.ndtr(v1))
+
+
+def test_ndtr_diff_is_the_four_call_form_bit_for_bit():
+    v = np.concatenate((np.linspace(-40.0, 40.0, 401), [-8.3e-17, -0.0, 0.0, 1e-300, 37.5]))
+    v1, v2 = np.meshgrid(v, v)
+    v1, v2 = np.minimum(v1, v2).ravel(), np.maximum(v1, v2).ravel()
+    assert sources._ndtr_diff(v1, v2).tobytes() == _four_call_ndtr_diff(v1, v2).tobytes()
+
+
+def _two_branch_exponential_density(src, y, q):
+    loc, s = src.params
+    sq = math.sqrt(q)
+    ssq = s * sq
+    u = y - sq * loc
+    w = (1.0 / ssq - u) / math.sqrt(2.0)
+    pos = w >= 0.0
+    head = sp.erfcx(np.where(pos, w, 0.0)) * np.exp(-0.5 * np.square(u)) / (2.0 * ssq)
+    tail = np.exp(np.where(pos, -1.0, 0.5 / (ssq * ssq) - u / ssq)) * sp.ndtr(u - 1.0 / ssq) / ssq
+    return np.where(pos, head, tail)
+
+
+@pytest.mark.parametrize("q", [1e-4, 0.5, 3.0, 1e3, 1e6])
+def test_exponential_density_per_branch_is_the_two_branch_form(q):
+    y = np.random.default_rng(5).permutation(np.linspace(-80.0, 300.0, 20011))
+    for src in (expstd(), standardize(ScalarSource(kind="exponential", name="e", params=(2.0, 0.3)))):
+        got = src.output_density(y, q)
+        assert got.tobytes() == _two_branch_exponential_density(src, y, q).tobytes()
+        point = src.output_density(1.25, q)
+        assert np.shape(point) == () and point == _two_branch_exponential_density(src, 1.25, q)
 
 
 def test_output_density_matches_sampling_free_quadrature():
