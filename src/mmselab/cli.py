@@ -91,10 +91,10 @@ def _quad_cfg(tol: float) -> QuadratureConfig:
 
 def _scalar_point(src, q: float, cfg: QuadratureConfig) -> dict:
     ch = scalar_channel.ScalarChannel(src, q)
-    m = scalar_channel.mmse(ch, cfg)
+    # both quantities from one vector integral on one panel set
+    m, d = scalar_channel._channel_integrals(src, [("mmse", ch.q), ("nongaussianity", ch.q)], cfg)
     t3 = scalar_channel.mmse_taylor3(src, q)
     gm = scalar_channel.gaussian_mmse(q)
-    d = scalar_channel.nongaussianity(ch, cfg)
     return {
         "q": q,
         "mmse": m,

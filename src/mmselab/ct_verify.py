@@ -196,15 +196,24 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
     return _riccati(setup)
 
 
+@lru_cache(maxsize=64)
+def _gram(n_tones: int, n_steps: int) -> np.ndarray:
+    """B'B of the basis rows B, read-only: (2N, 2N), whatever the number of steps."""
+    basis = _basis_matrix(KalmanSetup(n_tones, 0.0, n_steps))
+    gram = basis.T @ basis
+    gram.setflags(write=False)
+    return gram
+
+
 def kalman_mmse(setup: KalmanSetup) -> float:
     """Time-integrated smoothing error of the Gaussian tone signal.
 
     One solve with the final information matrix J = N I + q dt B'B, B the
-    basis rows: the error is dt trace(J^-1 B'B).
+    basis rows: the error is dt trace(J^-1 B'B).  B'B does not depend on
+    q and is built once per (N, steps).
     """
     n, dt = setup.n_tones, setup.dt
-    basis = _basis_matrix(setup)
-    gram = basis.T @ basis
+    gram = _gram(n, setup.n_steps)
     return float(np.trace(np.linalg.solve(n * np.eye(2 * n) + setup.q * dt * gram, gram))) * dt
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "DerivativeEstimate",
     "integrate",
     "derivative_at_zero",
+    "derivative_nodes",
     "kl_integrand_from_logs",
 ]
 
@@ -47,7 +48,15 @@ class NumericsError(Exception):
 
 
 class NonConvergence(NumericsError):
-    """Requested quadrature tolerance not reached within max subdivisions."""
+    """Requested quadrature tolerance not reached within max subdivisions.
+
+    ``component`` is the index of the worst component of a vector
+    integrand, and None for a scalar one.
+    """
+
+    def __init__(self, message: str, component: int | None = None) -> None:
+        super().__init__(message)
+        self.component = component
 
 
 class NonFinite(NumericsError):
@@ -266,7 +275,8 @@ def integrate(
             raise NonConvergence(
                 f"quadrature error {err[worst]:.3e} exceeds tolerance for value {value[worst]:.6e}"
                 + (f" (component {worst})" if vector else "")
-                + f" on ({a:.6g}, {b:.6g})"
+                + f" on ({a:.6g}, {b:.6g})",
+                worst if vector else None,
             )
         over = panels[2 + k :] > (tol / count)[:, None]
         split = np.flatnonzero(over.any(axis=0))
@@ -285,6 +295,25 @@ _FORWARD_STENCILS = {
     3: (-1.0, 3.0, -3.0, 1.0),
     4: (1.0, -4.0, 6.0, -4.0, 1.0),
 }
+
+
+def _steps(initial_step: float) -> list:
+    """The halving schedule h, h/2, .. of the tableau's ``TABLEAU_LEVELS`` rows."""
+    return [initial_step / 2.0**i for i in range(TABLEAU_LEVELS)]
+
+
+def derivative_nodes(orders: Sequence[int], initial_step: float = 0.2) -> tuple:
+    """The q > 0, ascending, at which :func:`derivative_at_zero` evaluates ``g`` for ``orders``.
+
+    Order k needs j h for j = 1..k at every step h of the schedule; a
+    caller that can evaluate ``g`` at many q at once computes these first.
+    """
+    if any(order not in _FORWARD_STENCILS for order in orders):
+        raise ValueError("order must be in 1..4")
+    if not initial_step > 0:
+        raise ValueError("initial_step must be positive")
+    steps = _steps(initial_step)
+    return tuple(sorted({j * h for order in orders for h in steps for j in range(1, order + 1)}))
 
 
 def derivative_at_zero(
@@ -319,30 +348,21 @@ def derivative_at_zero(
         i.e. the step schedule descended into ``g``'s own quadrature noise
         before the extrapolation could converge.
     """
-    if order not in _FORWARD_STENCILS:
-        raise ValueError("order must be in 1..4")
-    if not initial_step > 0:
-        raise ValueError("initial_step must be positive")
-
+    values = {0.0: float(value_at_zero)}
+    for x in derivative_nodes((order,), initial_step):
+        v = values[x] = float(g(x))
+        if not math.isfinite(v):
+            raise NonFinite(f"g returned {v!r} at q={x!r}")
     coeffs = _FORWARD_STENCILS[order]
-    cache: dict[float, float] = {0.0: float(value_at_zero)}
 
-    def eval_g(x: float) -> float:
-        if x not in cache:
-            v = float(g(x))
-            if not math.isfinite(v):
-                raise NonFinite(f"g returned {v!r} at q={x!r}")
-            cache[x] = v
-        return cache[x]
-
-    steps = [initial_step / 2.0**i for i in range(TABLEAU_LEVELS)]
+    steps = _steps(initial_step)
     tableau: list[list[float]] = []
     best_value = math.nan
     best_err = math.inf
     best_step = steps[0]
 
     for i, h in enumerate(steps):
-        fd = sum(c * eval_g(j * h) for j, c in enumerate(coeffs)) / h**order
+        fd = sum(c * values[j * h] for j, c in enumerate(coeffs)) / h**order
         row = [fd]
         prev_row = tableau[-1] if tableau else None
         if prev_row is not None:
@@ -365,7 +385,7 @@ def derivative_at_zero(
         raise StepUnderflow("extrapolation tableau produced no finite error estimate")
 
     noise = sum(
-        abs(c) * (cfg.rel_tol * abs(eval_g(j * best_step)) + cfg.abs_tol)
+        abs(c) * (cfg.rel_tol * abs(values[j * best_step]) + cfg.abs_tol)
         for j, c in enumerate(coeffs)
     ) / best_step**order
     # Underflow = the tableau settled on a confidently nonzero value that

@@ -37,10 +37,12 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     DIVERGENCE_QUADRATURE,
     DerivativeEstimate,
+    NonConvergence,
     QuadratureConfig,
     _check_snr,
     _in_range,
     derivative_at_zero,
+    derivative_nodes,
     integrate,
     kl_integrand_from_logs,
 )
@@ -100,6 +102,68 @@ def conditional_mean(ch: ScalarChannel, y):
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 
+def _channel_integrals(src: ScalarSource, parts, cfg: QuadratureConfig) -> list:
+    """Values of ``parts``, (quantity, q) pairs of one law, from one integral over y.
+
+    A quantity is ``"mmse"`` or ``"nongaussianity"``.  Parts at q = 0 take
+    their exact values 1 and 0.  The rest are the components of one vector
+    integral (a plain one for a single part) on the domain and breakpoints
+    of the largest q, with each output density evaluated once per y node
+    for all the q and both quantities: the kernels take the distinct q as
+    a column.  The mmse integrand is cross^2 / p, and the divergence
+    integrand the pointwise-nonnegative ``p ln(p/g) - p + g`` of
+    :func:`nongaussianity`.
+
+    Raises
+    ------
+    NumericsError
+        If a value lies outside [0, 1/(1+q)] (mmse) or [0, ln(1+q)/2]
+        (divergence) by more than its error bound; a ``NonConvergence``
+        names the law and the q of its worst component.
+    """
+    values = [1.0 if quantity == "mmse" else 0.0 for quantity, _ in parts]
+    live = [i for i, (_, q) in enumerate(parts) if q > 0.0]
+    if not live:
+        return values
+    qs = sorted({parts[i][1] for i in live})
+    picks = [(parts[i][0], qs.index(parts[i][1])) for i in live]  # (quantity, row of its q)
+    quantities = {quantity for quantity, _ in picks}
+    q_arg = qs[0] if len(qs) == 1 else np.array(qs)[:, None]
+    var = 1.0 + np.array(qs)[:, None]
+    log_norm = np.array([[-0.5 * math.log(2.0 * math.pi * v)] for v in var[:, 0]])
+
+    def integrand(y: np.ndarray) -> np.ndarray:
+        p = np.reshape(src.output_density(y, q_arg), (len(qs), -1))
+        terms = {}
+        if "mmse" in quantities:
+            a = np.reshape(src.cross_density(y, q_arg), (len(qs), -1))
+            terms["mmse"] = np.divide(a * a, p, out=np.zeros_like(p), where=p >= _P_FLOOR)
+        if "nongaussianity" in quantities:
+            # log-ratio form: the matched Gaussian may underflow on the wide
+            # domains needed for slowly decaying output tails; where p is
+            # below the floor, ln p = -inf makes the term g
+            log_p = np.log(p, out=np.full_like(p, -np.inf), where=p >= _P_FLOOR)
+            terms["nongaussianity"] = kl_integrand_from_logs(log_p, log_norm - 0.5 * y * y / var)
+        if len(picks) == 1:
+            quantity, r = picks[0]
+            return terms[quantity][r]
+        return np.stack([terms[quantity][r] for quantity, r in picks])
+
+    domain, breakpoints = src.output_panels(qs[-1])
+    try:
+        est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
+    except NonConvergence as exc:
+        quantity, q = parts[live[exc.component or 0]]
+        raise NonConvergence(f"{quantity} of law {src.name!r} at q={q!r}: {exc}") from exc
+    for i, v, e in zip(live, np.atleast_1d(est), np.atleast_1d(err)):
+        quantity, q = parts[i]
+        if quantity == "mmse":
+            values[i] = _in_range("mmse", 1.0 - v, e, src.name, q, gaussian_mmse(q))
+        else:
+            values[i] = _in_range("nongaussianity", v, e, src.name, q, 0.5 * math.log1p(q))
+    return values
+
+
 def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Minimum mean-square error of estimating X from Y, in [0, 1/(1+q)].
 
@@ -114,19 +178,7 @@ def mmse(ch: ScalarChannel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float
         error bound, besides the failures of
         :func:`~mmselab.numerics.integrate`.
     """
-    q = ch.q
-    if q == 0.0:
-        return 1.0
-    src = ch.source
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        p = src.output_density(y, q)
-        a = src.cross_density(y, q)
-        return np.divide(a * a, p, out=np.zeros_like(p), where=p >= _P_FLOOR)
-
-    domain, breakpoints = src.output_panels(q)
-    est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
-    return _in_range("mmse", 1.0 - est, err, src.name, q, gaussian_mmse(q))
+    return _channel_integrals(ch.source, [("mmse", ch.q)], cfg)[0]
 
 
 def gaussian_mmse(q: float) -> float:
@@ -177,25 +229,7 @@ def nongaussianity(ch: ScalarChannel, cfg: QuadratureConfig = DIVERGENCE_QUADRAT
         integral's error bound, besides the failures of
         :func:`~mmselab.numerics.integrate`.
     """
-    q = ch.q
-    if q == 0.0:
-        return 0.0
-    src = ch.source
-    var = 1.0 + q
-    log_norm = -0.5 * math.log(2.0 * math.pi * var)
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        # log-ratio form: the matched Gaussian may underflow on the wide
-        # domains needed for slowly decaying output tails; where p is below
-        # the floor, ln p = -inf makes the term g
-        log_g = log_norm - 0.5 * y * y / var
-        p = src.output_density(y, q)
-        log_p = np.log(p, out=np.full_like(p, -np.inf), where=p >= _P_FLOOR)
-        return kl_integrand_from_logs(log_p, log_g)
-
-    domain, breakpoints = src.output_panels(q)
-    est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
-    return _in_range("nongaussianity", est, err, src.name, q, 0.5 * math.log1p(q))
+    return _channel_integrals(ch.source, [("nongaussianity", ch.q)], cfg)[0]
 
 
 def divergence_derivatives_at_zero(
@@ -203,26 +237,25 @@ def divergence_derivatives_at_zero(
 ) -> list[DerivativeEstimate]:
     """One-sided derivatives of q -> nongaussianity(src, q) at q = 0.
 
-    Each divergence is integrated at ``DIVERGENCE_QUADRATURE``.  The
-    order-k stencil reaches q = k * h0 with h0 = ``_DERIVATIVE_STEP``, and
-    all of it must lie where the low-snr series of D is already asymptotic:
-    coarse tableau rows built outside that regime can agree by accident,
-    which the tableau's error indicator mistakes for convergence.  Laws
-    with fast-growing moments (the standardized exponential) leave the
-    regime early, hence the start at 0.05 rather than the generic 0.2 of
-    :func:`~mmselab.numerics.derivative_at_zero`.
+    The order-k stencil reaches q = k * h0 with h0 = ``_DERIVATIVE_STEP``,
+    and all of it must lie where the low-snr series of D is already
+    asymptotic: coarse tableau rows built outside that regime can agree by
+    accident, which the tableau's error indicator mistakes for
+    convergence.  Laws with fast-growing moments (the standardized
+    exponential) leave the regime early, hence the start at 0.05 rather
+    than the generic 0.2 of :func:`~mmselab.numerics.derivative_at_zero`.
 
-    Divergence evaluations are shared across the requested orders through a
-    memo on the step schedule (the halving grids overlap heavily).
+    The divergences at every q of the requested orders' stencils (up to
+    14) are one vector integral at ``DIVERGENCE_QUADRATURE``, each held to
+    its own tolerance, on the panels of the largest q; the tableaux read
+    them.
     """
-    cache: dict[float, float] = {}
-
-    def curve(q: float) -> float:
-        if q not in cache:
-            cache[q] = nongaussianity(ScalarChannel(src, q), DIVERGENCE_QUADRATURE)
-        return cache[q]
-
+    qs = derivative_nodes(orders, _DERIVATIVE_STEP)
+    parts = [("nongaussianity", q) for q in qs]
+    curve = dict(zip(qs, _channel_integrals(src, parts, DIVERGENCE_QUADRATURE)))
     return [
-        derivative_at_zero(curve, order, DIVERGENCE_QUADRATURE, initial_step=_DERIVATIVE_STEP)
+        derivative_at_zero(
+            curve.__getitem__, order, DIVERGENCE_QUADRATURE, initial_step=_DERIVATIVE_STEP
+        )
         for order in orders
     ]

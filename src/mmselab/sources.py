@@ -187,23 +187,30 @@ class ScalarSource:
 
     # -- channel kernels --------------------------------------------------
 
-    def output_density(self, y, q: float):
-        """E_X[ phi(y - sqrt(q) X) ], vectorized over y."""
+    def output_density(self, y, q):
+        """E_X[ phi(y - sqrt(q) X) ], vectorized over y.
+
+        q is a float, or an (m, 1) array of positive values with a 1-D y,
+        which gives an (m, y.size) array: row i is the call with q[i, 0]
+        alone, bit for bit for every kind but ``custom``, whose kernel runs
+        once per row.
+        """
         y = np.asarray(y, dtype=float)
-        sq = math.sqrt(q)
+        sq, shape = _snr_root(q, y)
         if self.kind == "mixture":
-            w, mu, s = np.array(self.components).T[:, :, None]
+            w, mu, s = _mixture_columns(self.components, q)
             var = 1.0 + q * s * s
-            return np.dot(w[:, 0], _component_densities(y, sq * mu, var)).reshape(y.shape)
+            dens = _component_densities(y, sq * mu, var)
+            return np.dot(w, dens.reshape(w.size, -1)).reshape(shape)
         if self.kind == "uniform":
             lo, hi = self.params
-            if q == 0.0:
+            if np.ndim(q) == 0 and q == 0.0:
                 return _phi(y)
             width = hi - lo
             return _ndtr_diff(y - sq * hi, y - sq * lo) / (width * sq)
         if self.kind == "exponential":
             loc, s = self.params
-            if q == 0.0:
+            if np.ndim(q) == 0 and q == 0.0:
                 return _phi(y)
             # For X = loc + s*E:  p(y) = erfcx((1/(s*sq) - u)/sqrt2) exp(-u^2/2) / (2 s sq)
             # with u = y - sq*loc.  Past the crossover u > 1/(s*sq) the erfcx
@@ -215,34 +222,43 @@ class ScalarSource:
             u = np.ravel(y) - sq * loc
             pos = (1.0 / ssq - u) / math.sqrt(2.0) >= 0.0
             head, tail = u[pos], u[~pos]
+            k_head = k_tail = ssq
+            if np.ndim(ssq):  # a q column: each point's own s * sqrt(q)
+                k = np.broadcast_to(ssq, u.shape)
+                k_head, k_tail = k[pos], k[~pos]
             out = np.empty_like(u)
             out[pos] = (
-                _sp.erfcx((1.0 / ssq - head) / math.sqrt(2.0))
+                _sp.erfcx((1.0 / k_head - head) / math.sqrt(2.0))
                 * np.exp(-0.5 * np.square(head))
-                / (2.0 * ssq)
+                / (2.0 * k_head)
             )
-            out[~pos] = np.exp(0.5 / (ssq * ssq) - tail / ssq) * _sp.ndtr(tail - 1.0 / ssq) / ssq
-            return out.reshape(y.shape)
+            out[~pos] = (
+                np.exp(0.5 / (k_tail * k_tail) - tail / k_tail) * _sp.ndtr(tail - 1.0 / k_tail)
+                / k_tail
+            )
+            return out.reshape(shape)
         if self.kind == "custom":
-            return _phi(y) if q == 0.0 else _custom_kernel(self, y, q, cross=False)
+            if np.ndim(q) == 0 and q == 0.0:
+                return _phi(y)
+            return _custom_kernel(self, y, q, cross=False)
         raise ValueError(f"unknown source kind {self.kind!r}")
 
-    def cross_density(self, y, q: float):
-        """E_X[ X * phi(y - sqrt(q) X) ], vectorized over y."""
+    def cross_density(self, y, q):
+        """E_X[ X * phi(y - sqrt(q) X) ], vectorized over y; q as in :meth:`output_density`."""
         y = np.asarray(y, dtype=float)
-        sq = math.sqrt(q)
-        if q == 0.0:
+        sq, shape = _snr_root(q, y)
+        if np.ndim(q) == 0 and q == 0.0:
             return self._moments[0] * _phi(y)
         if self.kind == "mixture":
             # each component's density times its posterior mean
             # (mu + sqrt(q) sigma^2 y) / var
-            w, mu, s = np.array(self.components).T[:, :, None]
+            w, mu, s = _mixture_columns(self.components, q)
             var = 1.0 + q * s * s
             post = (sq * s * s) * y.reshape(-1)
             np.add(post, mu, post)
             np.divide(post, var, post)
             np.multiply(post, _component_densities(y, sq * mu, var), post)
-            return np.dot(w[:, 0], post).reshape(y.shape)
+            return np.dot(w, post.reshape(w.size, -1)).reshape(shape)
         if self.kind == "uniform":
             lo, hi = self.params
             v2 = y - sq * lo
@@ -270,14 +286,13 @@ class ScalarSource:
         feature (mu, sigma) of the law puts a bump or step of width
         sqrt(1 + q sigma^2) at sqrt(q) mu: each mixture component
         (w, mu, sigma) is one (an atom, sigma = 0, a unit-width one), and so
-        is each finite end v of a uniform or custom law, a unit-width step.
-        At high q these features are far narrower than the domain, and a
-        panel that merely ends at one can miss it (a uniform law from
-        q = 1e7 on, where the first Gauss-Kronrod rule samples only the flat
-        top and the tails); breakpoints at 0 and +-8 widths around each
-        feature keep it inside two panels.  An exponential law and an
-        infinite end of a support add none; with none at all, the
-        breakpoints are None.
+        is each finite end v of a uniform, exponential or custom law, a
+        unit-width step.  At high q these features are far narrower than the
+        domain, and a panel that merely ends at one can miss it (a uniform
+        law from q = 1e7 on, where the first Gauss-Kronrod rule samples only
+        the flat top and the tails); breakpoints at 0 and +-8 widths around
+        each feature keep it inside two panels.  An infinite end of a
+        support adds none; with none at all, the breakpoints are None.
         """
         if self.kind == "mixture":
             features = [(mu, s) for _, mu, s in self.components]
@@ -287,7 +302,7 @@ class ScalarSource:
             bulk = max(abs(v) for v in self.params)
         elif self.kind == "exponential":
             loc, s = self.params
-            features = []
+            features = [(loc, 0.0)]
             bulk = abs(loc) + s * (0.5 * TAIL_WIDTH**2 + TAIL_WIDTH)
         else:
             features = [(v, 0.0) for v in self.support if math.isfinite(v)]
@@ -298,6 +313,21 @@ class ScalarSource:
             sq * mu + d * math.sqrt(1.0 + q * s * s) for mu, s in features for d in (-8.0, 0.0, 8.0)
         }
         return (-radius, radius), sorted(breakpoints) or None
+
+
+def _snr_root(q, y: np.ndarray) -> tuple:
+    """sqrt(q) and the kernels' result shape, for a float q or an (m, 1) q column."""
+    if np.ndim(q):
+        return np.sqrt(q), (len(q),) + y.shape
+    return math.sqrt(q), y.shape
+
+
+def _mixture_columns(components: tuple, q) -> tuple:
+    """Weights, and means and sigmas as columns that broadcast against q (a float or column)."""
+    w, mu, s = np.array(components).T[:, :, None]
+    if np.ndim(q):
+        mu, s = mu[:, None], s[:, None]
+    return w[:, 0], mu, s
 
 
 def _affine_moments(loc: float, scale: float, raw: tuple) -> tuple:
@@ -337,7 +367,7 @@ def _pdf_values(pdf: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([pdf(v) for v in x.tolist()], dtype=float)
 
 
-def _custom_kernel(src: ScalarSource, y: np.ndarray, q: float, cross: bool) -> np.ndarray:
+def _custom_kernel(src: ScalarSource, y: np.ndarray, q, cross: bool) -> np.ndarray:
     """Output density of a custom law at the points y (cross density with ``cross``), for q > 0.
 
     A tensor rule.  The sorted points go in chunks at most 8 TAIL_WIDTH
@@ -351,8 +381,11 @@ def _custom_kernel(src: ScalarSource, y: np.ndarray, q: float, cross: bool) -> n
     relative accuracy, in the output tails and where the cross density
     changes sign.  The width cap keeps the window narrow at high q, where
     phi(y - sqrt(q) x) is a spike in x; the length cap bounds the
-    (components, nodes) block of a pass.
+    (components, nodes) block of a pass.  An (m, 1) column of q gives one
+    row per q, each from its own tensor rule.
     """
+    if np.ndim(q):
+        return np.stack([_custom_kernel(src, y, qi, cross) for qi in q[:, 0]])
     sq = math.sqrt(q)
     lo, hi = src.support
     ys = np.ravel(y)

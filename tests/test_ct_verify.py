@@ -9,6 +9,7 @@ from mmselab.ct_verify import (
     KalmanSetup,
     McConfig,
     _basis_matrix,
+    _gram,
     kalman_cmmse,
     kalman_mmse,
     mc_scalar_mmse,
@@ -224,3 +225,19 @@ def test_mc_consistent_across_builtin_sources():
         quad_val = mmse(ScalarChannel(src, q))
         est = mc_scalar_mmse(src, q, McConfig(sample_count=2 * 10**5, seed=100 + i))
         assert abs(est.value - quad_val) <= 3 * est.std_error, src.name
+
+
+def test_gram_is_built_once_per_tone_count_and_steps():
+    # B'B does not depend on q: one read-only copy per (N, steps), the same
+    # bits as forming it from the basis, so kalman_mmse is unchanged
+    for n, steps in ((1, 128), (4, 300)):
+        basis = _basis_matrix(KalmanSetup(n, 2.0, steps))
+        built = basis.T @ basis
+        gram = _gram(n, steps)
+        assert gram is _gram(n, steps)
+        assert gram.tobytes() == built.tobytes()
+        assert not gram.flags.writeable
+        for q in (0.5, 3.3):
+            setup = KalmanSetup(n, q, steps)
+            direct = np.linalg.solve(n * np.eye(2 * n) + q * setup.dt * built, built)
+            assert kalman_mmse(setup) == float(np.trace(direct)) * setup.dt

@@ -12,6 +12,7 @@ from mmselab.numerics import (
     QuadratureConfig,
     StepUnderflow,
     derivative_at_zero,
+    derivative_nodes,
     integrate,
     kl_integrand_from_logs,
 )
@@ -140,8 +141,24 @@ def test_vector_nonfinite_component_detected():
 def test_vector_nonconvergence_names_the_component():
     cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-18, max_subdivisions=3)
     rough = lambda y: np.stack((np.ones_like(y), abs(y - math.pi / 7) ** 0.2))  # noqa: E731
-    with pytest.raises(NonConvergence, match=r"\(component 1\)"):
+    with pytest.raises(NonConvergence, match=r"\(component 1\)") as info:
         integrate(rough, (0.0, 1.0), cfg)
+    assert info.value.component == 1
+    with pytest.raises(NonConvergence) as info:
+        integrate(lambda y: abs(y - math.pi / 7) ** 0.2, (0.0, 1.0), cfg)
+    assert info.value.component is None
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [0.2, 0.05])
+def test_derivative_nodes_are_the_q_the_tableau_requests(order, step):
+    seen = []
+    derivative_at_zero(lambda q: seen.append(q) or q**4, order, initial_step=step)
+    assert tuple(sorted(seen)) == derivative_nodes((order,), step)
+    assert len(set(seen)) == len(seen)
+    # a set of orders shares its nodes: 14 for all four orders
+    assert set(seen) <= set(derivative_nodes((1, 2, 3, 4), step))
+    assert len(derivative_nodes((1, 2, 3, 4), step)) == 14
 
 
 def test_derivative_simple_powers():

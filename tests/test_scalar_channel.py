@@ -5,7 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 from mmselab import scalar_channel
-from mmselab.numerics import NumericsError, QuadratureConfig, ValueWithError
+from mmselab.numerics import (
+    DIVERGENCE_QUADRATURE,
+    NonConvergence,
+    NumericsError,
+    QuadratureConfig,
+    ValueWithError,
+    derivative_nodes,
+    integrate,
+)
 from mmselab.scalar_channel import (
     ScalarChannel,
     conditional_mean,
@@ -24,6 +32,7 @@ from mmselab.sources import (
     from_atoms,
     gaussian,
     gaussian_mixture,
+    parse_source,
     rademacher,
     uniform,
 )
@@ -265,6 +274,19 @@ def test_skewed_source_expansion_discrepancy_measured():
     assert measured_c2 == pytest.approx(1.0 - 0.5 * m3 * m3, abs=0.1)
 
 
+_R2 = math.sqrt(2.0)
+_R6 = math.sqrt(6.0)
+LAPLACE = custom_source(
+    lambda x: math.exp(-_R2 * abs(x)) / _R2, (-math.inf, math.inf), name="laplace"
+)
+LAPLACE_PIECES = ((-25.0, 0.0), (0.0, 25.0))
+# no kink is declared: the kernels put a breakpoint at x = 0 anyway
+TRIANGULAR = custom_source(
+    lambda x: max(_R6 - abs(x), 0.0) / 6.0, (-_R6, _R6), name="triangular"
+)
+TRIANGULAR_PIECES = ((-_R6, 0.0), (0.0, _R6))
+
+
 ATOM_LAWS = (
     from_atoms([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3], name="atoms-3"),
     from_atoms([-3.0, -1.0, 1.0, 3.0], [0.25] * 4, name="pam-4"),
@@ -288,11 +310,13 @@ NARROW_MIXTURES = tuple(
 
 @pytest.mark.parametrize(
     "src",
-    builtin_sources() + ATOM_LAWS + (HALF_ATOM,) + NARROW_MIXTURES,
+    builtin_sources() + ATOM_LAWS + (HALF_ATOM,) + NARROW_MIXTURES + (LAPLACE, TRIANGULAR),
     ids=lambda src: src.name,
 )
 def test_error_and_divergence_bounds_over_snr(src):
-    for q in (1e-2, 1.0, 1e2, 1e4, 1e5, 1e6, 1e8):
+    # a custom law's kernels take about 0.7 s per q from q = 1e4 on (Laplace)
+    top = 1e4 if src.kind == "custom" else 1e8
+    for q in (q for q in (1e-2, 1.0, 1e2, 1e4, 1e5, 1e6, 1e8) if q <= top):
         ch = ScalarChannel(src, q)
         m, d = mmse(ch), nongaussianity(ch)
         assert 0.0 <= m <= 1.0 / (1.0 + q) + 1e-9, (q, m)
@@ -310,6 +334,69 @@ def test_out_of_range_integral_raises(monkeypatch, value):
         mmse(ch)
     with pytest.raises(NumericsError, match=r"nongaussianity .* law 'rademacher' at q=1\.0"):
         nongaussianity(ch)
+
+
+# the skewed atom law of the low-snr benchmark workload, and seeded laws
+SKEWED = parse_source("atoms:1.36,0.03,1.22,0.95,-0.51,0.02")
+_RNG = np.random.default_rng(20260413)
+_MIX_LOW, _MIX_HIGH = (0.2, -2.0, 0.3, -2.0, 0.3), (0.8, 2.0, 1.5, 2.0, 1.5)
+SEEDED_LAWS = tuple(
+    gaussian_mixture(*_RNG.uniform(_MIX_LOW, _MIX_HIGH), name=f"mix-{i}") for i in range(5)
+) + tuple(
+    from_atoms(_RNG.uniform(-2.0, 2.0, 3), _RNG.dirichlet(np.ones(3)), name=f"atoms-{i}")
+    for i in range(5)
+)
+
+
+@pytest.mark.parametrize(
+    "src", builtin_sources() + (SKEWED,) + SEEDED_LAWS, ids=lambda src: src.name
+)
+def test_stencil_divergences_match_lone_calls(src):
+    # the stencil's one vector integral holds each divergence to its own
+    # tolerance; a lone call at the same q lands within a tenth of it
+    cfg = DIVERGENCE_QUADRATURE
+    qs = derivative_nodes((1, 2, 3, 4), scalar_channel._DERIVATIVE_STEP)
+    stencil = scalar_channel._channel_integrals(src, [("nongaussianity", q) for q in qs], cfg)
+    for q, d in zip(qs, stencil):
+        lone = nongaussianity(ScalarChannel(src, q))
+        assert abs(d - lone) <= 0.1 * max(cfg.abs_tol, cfg.rel_tol * lone), (q, d, lone)
+
+
+def test_scalar_point_pair_matches_lone_calls():
+    # mmse and D of one q share a panel set, each to its own tolerance
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15, max_subdivisions=400)
+    for src in builtin_sources() + (SKEWED,):
+        for q in (0.0, 1e-2, 1.0, 1e3, 1e6):
+            ch = ScalarChannel(src, q)
+            m, d = scalar_channel._channel_integrals(src, [("mmse", q), ("nongaussianity", q)], cfg)
+            lone_m, lone_d = mmse(ch, cfg), nongaussianity(ch, cfg)
+            assert abs(m - lone_m) <= max(cfg.abs_tol, cfg.rel_tol * (1.0 - lone_m)), (src.name, q)
+            assert abs(d - lone_d) <= max(cfg.abs_tol, cfg.rel_tol * lone_d), (src.name, q)
+
+
+@pytest.mark.parametrize("src", builtin_sources(), ids=lambda src: src.name)
+def test_derivatives_make_one_integral(monkeypatch, src):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(scalar_channel, "integrate", counted)
+    divergence_derivatives_at_zero(src)
+    assert len(calls) == 1
+    # on the domain of the largest stencil q
+    assert calls[0] == src.output_panels(4 * scalar_channel._DERIVATIVE_STEP)[0]
+
+
+def test_stencil_nonconvergence_names_the_law_and_the_q(monkeypatch):
+    tight = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-18, max_subdivisions=2)
+    monkeypatch.setattr(scalar_channel, "DIVERGENCE_QUADRATURE", tight)
+    qs = derivative_nodes((1, 2, 3, 4), scalar_channel._DERIVATIVE_STEP)
+    with pytest.raises(NonConvergence, match=r"nongaussianity of law 'rademacher' at q=") as info:
+        divergence_derivatives_at_zero(rademacher())
+    named = float(str(info.value).split("at q=")[1].split(":")[0])
+    assert named in qs
 
 
 @pytest.mark.parametrize("src", (rademacher(),) + ATOM_LAWS, ids=lambda src: src.name)
@@ -363,13 +450,6 @@ def _tensor_reference(pdf, pieces, q):
     return ref_mmse, ref_d
 
 
-_R2 = math.sqrt(2.0)
-_R6 = math.sqrt(6.0)
-LAPLACE = custom_source(lambda x: math.exp(-_R2 * abs(x)) / _R2, (-math.inf, math.inf))
-LAPLACE_PIECES = ((-25.0, 0.0), (0.0, 25.0))
-# no kink is declared: the kernels put a breakpoint at x = 0 anyway
-TRIANGULAR = custom_source(lambda x: max(_R6 - abs(x), 0.0) / 6.0, (-_R6, _R6))
-TRIANGULAR_PIECES = ((-_R6, 0.0), (0.0, _R6))
 
 
 def _laplace_pdf(x):

@@ -221,6 +221,43 @@ def test_custom_finite_support_gets_the_uniform_panels():
     assert laplace.output_panels(1e6)[1] is None
 
 
+# the distinct q of a derivative stencil and of the scalar grid, as columns
+Q_COLUMNS = (np.array([[0.0015625], [0.05], [0.2]]), np.array([[1e-2], [1.0], [1e4], [1e6]]))
+
+
+@pytest.mark.parametrize("qcol", Q_COLUMNS, ids=("stencil", "grid"))
+@pytest.mark.parametrize("src", builtin_sources(), ids=lambda src: src.name)
+def test_q_column_kernels_are_the_per_q_calls_bit_for_bit(src, qcol):
+    y = np.concatenate((np.linspace(-40.0, 40.0, 57), [-1e3, 0.0, 1e3]))
+    for kernel in (src.output_density, src.cross_density):
+        rows = kernel(y, qcol)
+        assert rows.shape == (len(qcol), y.size)
+        for row, q in zip(rows, qcol[:, 0]):
+            assert row.tobytes() == kernel(y, float(q)).tobytes(), (kernel.__name__, q)
+
+
+def test_q_column_custom_kernels_match_the_per_q_calls():
+    b = math.sqrt(6.0)
+    tri = sources.custom_source(lambda x: max(0.0, (1.0 - abs(x) / b) / b), (-b, b))
+    y, qcol = np.linspace(-8.0, 8.0, 21), Q_COLUMNS[0]
+    for kernel in (tri.output_density, tri.cross_density):
+        rows = kernel(y, qcol)
+        assert rows.shape == (len(qcol), y.size)
+        for row, q in zip(rows, qcol[:, 0]):
+            want = kernel(y, float(q))
+            rel = sources._KERNEL_QUADRATURE.rel_tol
+            np.testing.assert_allclose(row, want, rtol=rel, atol=0.0)
+
+
+def test_exponential_end_is_an_output_step():
+    # the finite end loc of loc + s Exp(1) gets the breakpoints of a uniform end
+    src = expstd()
+    loc = src.params[0]
+    for q in (1e-2, 1.0, 1e6):
+        sq = math.sqrt(q)
+        assert src.output_panels(q)[1] == [sq * loc - 8.0, sq * loc, sq * loc + 8.0]
+
+
 def test_custom_triangular_law_is_standard():
     # triangular density on [0, 1] with mode c
     c = 0.35
