@@ -9,7 +9,9 @@ Three tools, none of which share code with the quadrature modules:
   The causal error is a sum over innovations: each chunk of steps takes
   the variances of its measurement innovations from one Cholesky
   factorization, given the information matrix at the chunk's start.  The
-  non-causal error is one solve with the final information matrix.  Error
+  non-causal error is one solve with the final information matrix, whose
+  q-free part B'B is cached per (N, steps); neither error is cached, as a
+  caller asks for each setup once.  Error
   covariances of a linear-Gaussian model are data independent, so no
   sampling is involved, and because the state is static the smoothing
   covariance equals the final filtering covariance.
@@ -53,7 +55,7 @@ HORIZON = 2.0 * math.pi
 # step would need 64 MB.  Of 16-96, 32 was the fastest for N = 1..16 at
 # 2048-8192 steps.
 _CHUNK_STEPS = 32
-# Declared relative accuracy of the causal error (see _riccati).
+# Declared relative accuracy of the causal error (see kalman_cmmse).
 _CAUSAL_REL_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
 
@@ -130,9 +132,8 @@ def simulate_path(setup: KalmanSetup, law: AmplitudeLaw, rng: np.random.Generato
     return PathSample(times=times, increments=increments, signal=signal)
 
 
-@lru_cache(maxsize=64)
-def _riccati(setup: KalmanSetup) -> float:
-    """Causal (filtering) signal-error energy of the Gaussian tone model.
+def kalman_cmmse(setup: KalmanSetup) -> float:
+    """Time-integrated filtering (causal) error of the Gaussian tone signal.
 
     State: 2N static coefficients, prior N(0, I/N); per-step scalar
     measurement row sqrt(q dt) h(t_j) with unit noise variance.  The error
@@ -185,15 +186,6 @@ def _riccati(setup: KalmanSetup) -> float:
     chol[:, diag, diag] = 0.0
     x = np.where(pivots > 2.0, pivots - 1.0, g_diag - np.einsum("cij,cij->ci", chol, chol))
     return float(np.sum(x / (1.0 + x))) / q
-
-
-def kalman_cmmse(setup: KalmanSetup) -> float:
-    """Time-integrated filtering error of the Gaussian tone signal.
-
-    Raises IllConditioned where the rounding bound of :func:`_riccati`
-    exceeds its declared accuracy.
-    """
-    return _riccati(setup)
 
 
 @lru_cache(maxsize=64)

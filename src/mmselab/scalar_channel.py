@@ -107,10 +107,10 @@ def _channel_integrals(src: ScalarSource, parts, cfg: QuadratureConfig) -> list:
 
     A quantity is ``"mmse"`` or ``"nongaussianity"``.  Parts at q = 0 take
     their exact values 1 and 0.  The rest are the components of one vector
-    integral (a plain one for a single part) on the domain and breakpoints
-    of the largest q, with each output density evaluated once per y node
-    for all the q and both quantities: the kernels take the distinct q as
-    a column.  The mmse integrand is cross^2 / p, and the divergence
+    integral, of one component for a single part, on the domain and
+    breakpoints of the largest q, with each output density evaluated once
+    per y node for all the q and both quantities: the kernels take the
+    distinct q as a column.  The mmse integrand is cross^2 / p, and the divergence
     integrand the pointwise-nonnegative ``p ln(p/g) - p + g`` of
     :func:`nongaussianity`.
 
@@ -144,16 +144,13 @@ def _channel_integrals(src: ScalarSource, parts, cfg: QuadratureConfig) -> list:
             # below the floor, ln p = -inf makes the term g
             log_p = np.log(p, out=np.full_like(p, -np.inf), where=p >= _P_FLOOR)
             terms["nongaussianity"] = kl_integrand_from_logs(log_p, log_norm - 0.5 * y * y / var)
-        if len(picks) == 1:
-            quantity, r = picks[0]
-            return terms[quantity][r]
         return np.stack([terms[quantity][r] for quantity, r in picks])
 
     domain, breakpoints = src.output_panels(qs[-1])
     try:
         est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
     except NonConvergence as exc:
-        quantity, q = parts[live[exc.component or 0]]
+        quantity, q = parts[live[exc.component]]
         raise NonConvergence(f"{quantity} of law {src.name!r} at q={q!r}: {exc}") from exc
     for i, v, e in zip(live, np.atleast_1d(est), np.atleast_1d(err)):
         quantity, q = parts[i]

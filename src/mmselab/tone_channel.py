@@ -24,6 +24,10 @@ Gaussian-amplitude closed forms when D == 0.  Since D(0) = D'(0) = D''(0)
 = 0 for every amplitude law (Guo, Wu, Shamai, Verdu 2011), the large-N
 expansions are those of the Gaussian amplitude: 1 - q/(4N) and
 1 - q/(2N).
+
+D and the mmse are one radial integral each, on the domain and ring
+breakpoints of ``AmplitudeLaw.output_panels``; a failure names the
+quantity, the law and the per-tone snr.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import scipy.special as _sp
 
 from .numerics import (
     DIVERGENCE_QUADRATURE,
-    TAIL_WIDTH,
+    NonConvergence,
     QuadratureConfig,
     _check_snr,
     _in_range,
@@ -78,31 +82,48 @@ class ToneModel:
         object.__setattr__(self, "q", _check_snr(self.q))
 
 
-def _radial_mixture(law: AmplitudeLaw, sq: float, r: np.ndarray) -> tuple:
-    """ln(f(r)/r) and the posterior mean E[a I1/I0(r a sq) | r] at the radii r.
+def _radial_integral(quantity: str, law: AmplitudeLaw, x: float, cfg: QuadratureConfig) -> float:
+    """The single-tone ``"divergence"`` D(x) or ``"mmse"`` at per-tone snr x.
 
-    Magnitude a of probability p contributes p exp(-(r - a sq)^2 / 2)
-    i0e(r a sq) to f(r)/r (I0 exponentially scaled), summed as a logsumexp.
+    One integral over the output radius r on ``law.output_panels(x)``.
+    Magnitude a of probability p contributes p exp(-(r - a sqrt(x))^2 / 2)
+    i0e(r a sqrt(x)) to f(r)/r, summed as a logsumexp; only the mmse forms
+    the posterior mean E[a I1/I0(r a sqrt(x)) | r].  A ``NonConvergence``
+    names the quantity, the law and x.
     """
+    x = _check_snr(x)
+    half_var = 1.0 + 0.5 * x
+    mmse = quantity == "mmse"
+    if x == 0.0 or law.kind == "gaussian-pair":
+        # Gaussian coefficient pair: the output law *is* the matched Gaussian.
+        return 1.0 / half_var if mmse else 0.0
+
+    sq = math.sqrt(x)
     a, p = np.array(law.magnitudes).T[:, :, None]
-    z = r * a * sq
-    i0e = _sp.i0e(z)
-    terms = np.log(p) - 0.5 * np.square(r - a * sq) + np.log(i0e)
-    top = terms.max(axis=0)
-    scaled = np.exp(terms - top)
-    total = scaled.sum(axis=0)
-    mean = (scaled * a * _sp.i1e(z) / i0e).sum(axis=0) / total
-    return top + np.log(total), mean
+    log_g_norm = -math.log(half_var)
 
+    def integrand(r: np.ndarray) -> np.ndarray:
+        z = r * a * sq
+        i0e = _sp.i0e(z)
+        terms = np.log(p) - 0.5 * np.square(r - a * sq) + np.log(i0e)
+        top = terms.max(axis=0)
+        scaled = np.exp(terms - top)
+        total = scaled.sum(axis=0)
+        log_f = top + np.log(total)  # ln(f(r)/r)
+        if mmse:
+            mean = (scaled * a * _sp.i1e(z) / i0e).sum(axis=0) / total
+            return r * np.exp(log_f) * mean * mean
+        log_r = np.log(r)
+        return kl_integrand_from_logs(log_r + log_f, log_r + log_g_norm - 0.5 * r * r / half_var)
 
-def _ring_breakpoints(law: AmplitudeLaw, sq: float) -> list:
-    """Radii a sqrt(x) -+ 8 around the ring of each magnitude a, for per-tone snr x = sq^2.
-
-    The radial density of magnitude a is a unit-width bump at r = a sqrt(x).
-    At high snr it is far narrower than the domain, and a first
-    Gauss-Kronrod rule that misses it sees no output at all.
-    """
-    return [a * sq + d for a, _ in law.magnitudes for d in (-8.0, 8.0)]
+    domain, breakpoints = law.output_panels(x)
+    try:
+        est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
+    except NonConvergence as exc:
+        raise NonConvergence(f"tone {quantity} of law {law.name!r} at q={x!r}: {exc}") from exc
+    if mmse:
+        return _in_range("tone mmse", 1.0 - est, err, law.name, x, 1.0 / half_var)
+    return _in_range("tone divergence", est, err, law.name, x, math.log(half_var))
 
 
 def tone_divergence(
@@ -113,25 +134,7 @@ def tone_divergence(
     Raises ``NumericsError`` if the integral fails or leaves [0, ln(1 + q/2)],
     the entropy gap of the two-dimensional noise, by more than its error.
     """
-    q = _check_snr(q)
-    if q == 0.0 or law.kind == "gaussian-pair":
-        # Gaussian coefficient pair: the output law *is* the matched Gaussian.
-        return 0.0
-
-    sq = math.sqrt(q)
-    half_var = 1.0 + 0.5 * q
-    log_g_norm = -math.log(half_var)
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        log_r = np.log(r)
-        log_p = log_r + _radial_mixture(law, sq, r)[0]
-        log_g = log_r + log_g_norm - 0.5 * r * r / half_var
-        return kl_integrand_from_logs(log_p, log_g)
-
-    a_max = max(a for a, _ in law.magnitudes)
-    domain = (0.0, sq * a_max + TAIL_WIDTH * math.sqrt(half_var))
-    est, err = integrate(integrand, domain, cfg, breakpoints=_ring_breakpoints(law, sq))
-    return _in_range("tone divergence", est, err, law.name, q, math.log(half_var))
+    return _radial_integral("divergence", law, q, cfg)
 
 
 def dn_divergence(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
@@ -159,22 +162,7 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
     Raises ``NumericsError`` if the integral fails or leaves [0, 1/(1 + x/2)]
     by more than its error.
     """
-    law = model.amplitude_law
-    x = model.q / model.n_tones
-    gaussian = gaussian_mmse_tone(model.n_tones, model.q)
-    if x == 0.0 or law.kind == "gaussian-pair":
-        return gaussian
-
-    sq = math.sqrt(x)
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        log_f, est = _radial_mixture(law, sq, r)
-        return r * np.exp(log_f) * est * est
-
-    a_max = max(a for a, _ in law.magnitudes)
-    domain = (0.0, sq * a_max + TAIL_WIDTH)
-    est, err = integrate(integrand, domain, cfg, breakpoints=_ring_breakpoints(law, sq))
-    return _in_range("tone mmse", 1.0 - est, err, law.name, x, gaussian)
+    return _radial_integral("mmse", model.amplitude_law, model.q / model.n_tones, cfg)
 
 
 def gaussian_cmmse(n: int, q: float) -> float:

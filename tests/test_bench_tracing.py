@@ -42,3 +42,21 @@ def test_tracer_sees_point_kernel_calls():
     finally:
         tracer.remove()
     assert tracer.stats.get("kernel.point", [0])[0] + tracer.stats.get("kernel.bulk", [0])[0] > 0
+
+
+def test_tracer_sees_tone_integrals():
+    # the tone_channel.radial.* and mmse_exact metrics read these entries;
+    # calls go through the module, as the CLI's do, to meet the spans
+    from mmselab import tone_channel
+    from mmselab.sources import unit_amplitude
+
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        tone_channel.tone_divergence(unit_amplitude(), 1.0)
+        tone_channel.mmse_exact(tone_channel.ToneModel(2, 2.0))
+    finally:
+        tracer.remove()
+    integrals, evals, _ = tracer.stats["site.tone"]
+    assert integrals == 2 and evals > 0
+    assert tracer.stats["mmse_exact"][0] == 1

@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 
 from mmselab import sources
-from mmselab.numerics import integrate
+from mmselab.numerics import TAIL_WIDTH, integrate
 from mmselab.sources import (
     AmplitudeLaw,
     ScalarSource,
@@ -293,6 +293,25 @@ def test_amplitude_laws():
         magnitude_law([1.0, 2.0], [0.5, 0.5])  # E a^2 = 2.5 != 1
     with pytest.raises(ValueError):
         AmplitudeLaw(kind="nope", name="x")
+
+
+def test_unknown_source_kind_rejected():
+    # with moments given, nothing else reads the kind at construction
+    with pytest.raises(ValueError, match="unknown source kind 'bogus'"):
+        ScalarSource(kind="bogus", name="x", _moments=(0.0, 1.0, 0.0, 3.0))
+
+
+@pytest.mark.parametrize("spec", ["unit", "mags:0.2,0.8,2.2,0.2"])
+@pytest.mark.parametrize("x", [1e-3, 1.0, 1e6])
+def test_amplitude_output_panels_rings(spec, x):
+    # the largest ring plus TAIL_WIDTH deviations of the matched Gaussian,
+    # and a breakpoint 8 on either side of each ring a sqrt(x), none at it
+    law = parse_amplitude(spec)
+    sq = math.sqrt(x)
+    a_max = max(a for a, _ in law.magnitudes)
+    domain, breakpoints = law.output_panels(x)
+    assert domain == (0.0, sq * a_max + TAIL_WIDTH * math.sqrt(1.0 + 0.5 * x))
+    assert breakpoints == [a * sq + d for a, _ in law.magnitudes for d in (-8.0, 8.0)]
 
 
 def test_amplitude_coefficient_sampling():

@@ -6,9 +6,12 @@ import pytest
 from mmselab import tone_channel
 from mmselab.numerics import (
     DIVERGENCE_QUADRATURE,
+    NonConvergence,
     NumericsError,
+    QuadratureConfig,
     ValueWithError,
     derivative_at_zero,
+    integrate,
 )
 from mmselab.sources import gaussian_pair_amplitude, magnitude_law, unit_amplitude
 from mmselab.tone_channel import (
@@ -258,3 +261,27 @@ def test_out_of_range_integral_raises(monkeypatch, value):
         tone_divergence(unit_amplitude(), 1.0)
     with pytest.raises(NumericsError, match=r"tone mmse .* law 'unit' at q=1\.0"):
         mmse_exact(ToneModel(n_tones=2, q=2.0))
+
+
+def test_nonconvergence_names_law_and_snr():
+    # one panel cannot hold the rings' breakpoints, so both integrals fail
+    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+    with pytest.raises(NonConvergence, match=r"tone divergence of law 'unit' at q=1\.0: "):
+        tone_divergence(unit_amplitude(), 1.0, cfg)
+    with pytest.raises(NonConvergence, match=r"tone mmse of law 'unit' at q=1\.0: "):
+        mmse_exact(ToneModel(n_tones=2, q=2.0), cfg)
+
+
+@pytest.mark.parametrize("law", [unit_amplitude(), TWO_MAGNITUDES], ids=lambda law: law.name)
+@pytest.mark.parametrize("x", [1e-3, 1.0, 1e6])
+def test_one_radial_integral_per_call(monkeypatch, law, x):
+    domains = []
+
+    def counted(f, domain, *args, **kwargs):
+        domains.append(domain)
+        return integrate(f, domain, *args, **kwargs)
+
+    monkeypatch.setattr(tone_channel, "integrate", counted)
+    tone_divergence(law, x)
+    mmse_exact(ToneModel(n_tones=4, q=4.0 * x, amplitude_law=law))
+    assert domains == [law.output_panels(x)[0]] * 2
