@@ -90,9 +90,8 @@ def _quad_cfg(tol: float) -> QuadratureConfig:
 
 
 def _scalar_point(src, q: float, cfg: QuadratureConfig) -> dict:
-    ch = scalar_channel.ScalarChannel(src, q)
     # both quantities from one vector integral on one panel set
-    m, d = scalar_channel._channel_integrals(src, [("mmse", ch.q), ("nongaussianity", ch.q)], cfg)
+    m, d = scalar_channel._channel_integrals(src, [("mmse", q), ("nongaussianity", q)], cfg)
     t3 = scalar_channel.mmse_taylor3(src, q)
     gm = scalar_channel.gaussian_mmse(q)
     return {

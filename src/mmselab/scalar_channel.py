@@ -107,20 +107,24 @@ def _channel_integrals(src: ScalarSource, parts, cfg: QuadratureConfig) -> list:
 
     A quantity is ``"mmse"`` or ``"nongaussianity"``.  Parts at q = 0 take
     their exact values 1 and 0.  The rest are the components of one vector
-    integral, of one component for a single part, on the domain and
-    breakpoints of the largest q, with each output density evaluated once
-    per y node for all the q and both quantities: the kernels take the
-    distinct q as a column.  The mmse integrand is cross^2 / p, and the divergence
+    integral on the domain and breakpoints of the largest q.  The distinct
+    q, however many, go to the kernels as one (m, 1) column, so each
+    output density is evaluated once per y node for all the q and both
+    quantities.  The mmse integrand is cross^2 / p, and the divergence
     integrand the pointwise-nonnegative ``p ln(p/g) - p + g`` of
     :func:`nongaussianity`.
 
     Raises
     ------
+    ValueError
+        If the law is not standardized, whatever the q.
     NumericsError
         If a value lies outside [0, 1/(1+q)] (mmse) or [0, ln(1+q)/2]
         (divergence) by more than its error bound; a ``NonConvergence``
         names the law and the q of its worst component.
     """
+    if not src.is_standard:
+        raise ValueError(f"source {src.name!r} is not standardized")
     values = [1.0 if quantity == "mmse" else 0.0 for quantity, _ in parts]
     live = [i for i, (_, q) in enumerate(parts) if q > 0.0]
     if not live:
@@ -128,15 +132,15 @@ def _channel_integrals(src: ScalarSource, parts, cfg: QuadratureConfig) -> list:
     qs = sorted({parts[i][1] for i in live})
     picks = [(parts[i][0], qs.index(parts[i][1])) for i in live]  # (quantity, row of its q)
     quantities = {quantity for quantity, _ in picks}
-    q_arg = qs[0] if len(qs) == 1 else np.array(qs)[:, None]
-    var = 1.0 + np.array(qs)[:, None]
+    q_col = np.array(qs)[:, None]
+    var = 1.0 + q_col
     log_norm = np.array([[-0.5 * math.log(2.0 * math.pi * v)] for v in var[:, 0]])
 
     def integrand(y: np.ndarray) -> np.ndarray:
-        p = np.reshape(src.output_density(y, q_arg), (len(qs), -1))
+        p = src.output_density(y, q_col)
         terms = {}
         if "mmse" in quantities:
-            a = np.reshape(src.cross_density(y, q_arg), (len(qs), -1))
+            a = src.cross_density(y, q_col)
             terms["mmse"] = np.divide(a * a, p, out=np.zeros_like(p), where=p >= _P_FLOOR)
         if "nongaussianity" in quantities:
             # log-ratio form: the matched Gaussian may underflow on the wide

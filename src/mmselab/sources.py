@@ -7,11 +7,12 @@ kernels for the additive-noise channel Y = W + sqrt(q) X:
     output_density(y, q) = E_X[ phi(y - sqrt(q) X) ]
     cross_density(y, q)  = E_X[ X * phi(y - sqrt(q) X) ]
 
-with phi the standard normal density.  Discrete, Gaussian and Gaussian
-mixture laws are one ``mixture`` kind: components (w, mu, sigma) with
-sigma >= 0, where sigma = 0 is an atom.  Closed forms are used for every
-built-in kind; ``custom`` laws take their kernels from a tensor rule, one
-vector-valued quadrature over x for each chunk of nearby output points.
+with phi the standard normal density, both from one per-kind body.
+Discrete, Gaussian and Gaussian mixture laws are one ``mixture`` kind:
+components (w, mu, sigma) with sigma >= 0, where sigma = 0 is an atom.
+Closed forms are used for every built-in kind; ``custom`` laws take their
+kernels from a tensor rule, one vector-valued quadrature over x for each
+chunk of nearby output points.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ class ScalarSource:
         if self.kind == "mixture":
             acc = [0.0] * 4
             for w, mu, s in self.components:
-                g = _gaussian_raw_moments(mu, s)
+                v = s * s  # raw moments of N(mu, v)
+                g = (mu, mu * mu + v, mu**3 + 3 * mu * v, mu**4 + 6 * mu * mu * v + 3 * v * v)
                 for i in range(4):
                     acc[i] += w * g[i]
             return tuple(acc)
@@ -190,38 +192,71 @@ class ScalarSource:
 
         q is a float, or an (m, 1) array of positive values with a 1-D y,
         which gives an (m, y.size) array: row i is the call with q[i, 0]
-        alone, bit for bit for every kind but ``custom``, whose kernel runs
-        once per row.
+        alone, bit for bit.  This and :meth:`cross_density` are entry
+        points of one per-kind body, in which a float q is a one-row column.
+        """
+        return self._kernel(y, q, cross=False)
+
+    def cross_density(self, y, q):
+        """E_X[ X * phi(y - sqrt(q) X) ], vectorized over y; q as in :meth:`output_density`."""
+        return self._kernel(y, q, cross=True)
+
+    def _kernel(self, y, q, cross: bool):
+        """The output density at y, or with ``cross`` the cross density, for a q column.
+
+        At q = 0 every kind gives phi(y), and EX phi(y) for the cross
+        density.  Otherwise each kind forms its output density on the
+        (m, y.size) grid of q rows and points, and the cross density from
+        it: a mixture weights each Gaussian component's density by its
+        posterior mean, the uniform and exponential laws have closed forms
+        (the exponential's from p by the score identity), and a custom law
+        integrates the x-weighted components of its tensor rule.
         """
         y = np.asarray(y, dtype=float)
-        sq, shape = _snr_root(q, y)
+        shape = y.shape if np.ndim(q) == 0 else (len(q),) + y.shape
+        q = np.asarray(q, dtype=float).reshape(-1, 1)
+        if q.size == 1 and q[0, 0] == 0.0:
+            return (self._moments[0] * _phi(y) if cross else _phi(y)).reshape(shape)
+        sq = np.sqrt(q)
+        y = y.reshape(-1)
         if self.kind == "mixture":
-            w, mu, s = _mixture_columns(self.components, q)
+            # one (m, y.size) slab per component, formed in place, so a bulk
+            # call holds one value per point, q and component
+            w, mu, s = np.array(self.components).T[:, :, None, None]
             var = 1.0 + q * s * s
-            dens = _component_densities(y, sq * mu, var)
-            return np.dot(w, dens.reshape(w.size, -1)).reshape(shape)
-        if self.kind == "uniform":
+            t = sq * mu - y  # squared below: the sign does not matter
+            np.square(t, t)
+            np.divide(t, -2.0 * var, t)
+            np.exp(t, t)
+            np.divide(t, np.sqrt(2.0 * math.pi * var), t)
+            if cross:  # times the posterior mean (mu + sqrt(q) sigma^2 y) / var
+                post = (sq * s * s) * y
+                np.add(post, mu, post)
+                np.divide(post, var, post)
+                t = np.multiply(post, t, post)  # into post: into t took 20% longer
+            out = np.dot(w[:, 0, 0], t.reshape(w.size, -1))
+        elif self.kind == "uniform":
             lo, hi = self.params
-            if np.ndim(q) == 0 and q == 0.0:
-                return _phi(y)
-            width = hi - lo
-            return _ndtr_diff(y - sq * hi, y - sq * lo) / (width * sq)
-        if self.kind == "exponential":
-            loc, s = self.params
-            if np.ndim(q) == 0 and q == 0.0:
-                return _phi(y)
+            v1, v2 = y - sq * hi, y - sq * lo
+            out = _ndtr_diff(v1, v2)
+            if cross:
+                out = y * out + _phi(v2) - _phi(v1)
+            out /= (hi - lo) * (q if cross else sq)
+        elif self.kind == "exponential":
             # For X = loc + s*E:  p(y) = erfcx((1/(s*sq) - u)/sqrt2) exp(-u^2/2) / (2 s sq)
             # with u = y - sq*loc.  Past the crossover u > 1/(s*sq) the erfcx
             # form overflows; there the equivalent exponential-tail form
             # exp(1/(2 ssq^2) - u/ssq) Phi(u - 1/ssq) / ssq has a negative
             # exponent and is the stable one.
             # Each point is evaluated in its own branch only.
+            loc, s = self.params
             ssq = s * sq
-            u = np.ravel(y) - sq * loc
+            u = y - sq * loc
             pos = (1.0 / ssq - u) / math.sqrt(2.0) >= 0.0
             head, tail = u[pos], u[~pos]
-            k_head = k_tail = ssq
-            if np.ndim(ssq):  # a q column: each point's own s * sqrt(q)
+            if ssq.size == 1:  # one q: a scalar k spares two gathers of a broadcast one
+                k_head = k_tail = ssq.item()
+            else:  # each point's own s * sqrt(q)
                 k = np.broadcast_to(ssq, u.shape)
                 k_head, k_tail = k[pos], k[~pos]
             out = np.empty_like(u)
@@ -234,41 +269,13 @@ class ScalarSource:
                 np.exp(0.5 / (k_tail * k_tail) - tail / k_tail) * _sp.ndtr(tail - 1.0 / k_tail)
                 / k_tail
             )
-            return out.reshape(shape)
-        if np.ndim(q) == 0 and q == 0.0:  # custom
-            return _phi(y)
-        return _custom_kernel(self, y, q, cross=False)
-
-    def cross_density(self, y, q):
-        """E_X[ X * phi(y - sqrt(q) X) ], vectorized over y; q as in :meth:`output_density`."""
-        y = np.asarray(y, dtype=float)
-        sq, shape = _snr_root(q, y)
-        if np.ndim(q) == 0 and q == 0.0:
-            return self._moments[0] * _phi(y)
-        if self.kind == "mixture":
-            # each component's density times its posterior mean
-            # (mu + sqrt(q) sigma^2 y) / var
-            w, mu, s = _mixture_columns(self.components, q)
-            var = 1.0 + q * s * s
-            post = (sq * s * s) * y.reshape(-1)
-            np.add(post, mu, post)
-            np.divide(post, var, post)
-            np.multiply(post, _component_densities(y, sq * mu, var), post)
-            return np.dot(w, post.reshape(w.size, -1)).reshape(shape)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            v2 = y - sq * lo
-            v1 = y - sq * hi
-            width = hi - lo
-            return (y * _ndtr_diff(v1, v2) + _phi(v2) - _phi(v1)) / (width * q)
-        if self.kind == "exponential":
-            # score identity: E[X phi] = (p'(y) + y p(y)) / sq with
-            # p'(y) = (phi(u) - p)/(s*sq) for the shifted/scaled exponential.
-            loc, s = self.params
-            p = self.output_density(y, q)
-            u = y - sq * loc
-            return ((_phi(u) - p) / (s * sq) + y * p) / sq
-        return _custom_kernel(self, y, q, cross=True)  # custom
+            if cross:
+                # score identity: E[X phi] = (p'(y) + y p(y)) / sq with
+                # p'(y) = (phi(u) - p)/(s*sq) for the shifted/scaled exponential.
+                out = ((_phi(u) - out) / ssq + y * out) / sq
+        else:
+            out = _custom_kernel(self, y, q, cross)
+        return out.reshape(shape)
 
     def output_panels(self, q: float) -> tuple:
         """Domain (-R, R) and panel breakpoints of the channel integrals at snr q.
@@ -309,21 +316,6 @@ class ScalarSource:
         return (-radius, radius), sorted(breakpoints) or None
 
 
-def _snr_root(q, y: np.ndarray) -> tuple:
-    """sqrt(q) and the kernels' result shape, for a float q or an (m, 1) q column."""
-    if np.ndim(q):
-        return np.sqrt(q), (len(q),) + y.shape
-    return math.sqrt(q), y.shape
-
-
-def _mixture_columns(components: tuple, q) -> tuple:
-    """Weights, and means and sigmas as columns that broadcast against q (a float or column)."""
-    w, mu, s = np.array(components).T[:, :, None]
-    if np.ndim(q):
-        mu, s = mu[:, None], s[:, None]
-    return w[:, 0], mu, s
-
-
 def _affine_moments(loc: float, scale: float, raw: tuple) -> tuple:
     """(EZ, EZ^2, EZ^3, EZ^4) of Z = loc + scale X, from raw = (1, EX, .., EX^4), binomially."""
     return tuple(
@@ -332,77 +324,53 @@ def _affine_moments(loc: float, scale: float, raw: tuple) -> tuple:
     )
 
 
-def _gaussian_raw_moments(mu: float, s: float) -> tuple:
-    v = s * s
-    return (
-        mu,
-        mu * mu + v,
-        mu**3 + 3 * mu * v,
-        mu**4 + 6 * mu * mu * v + 3 * v * v,
-    )
-
-
-def _component_densities(y: np.ndarray, center: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Densities of the components N(center_k, var_k) at y, shape (components, y.size).
-
-    ``center`` and ``var`` are columns.  Formed in place in one array, so a
-    bulk call holds one value per point and component.
-    """
-    t = center - y.reshape(-1)  # squared below: the sign does not matter
-    np.square(t, t)
-    np.divide(t, -2.0 * var, t)
-    np.exp(t, t)
-    np.divide(t, np.sqrt(2.0 * math.pi * var), t)
-    return t
-
-
 def _pdf_values(pdf: Callable, x: np.ndarray) -> np.ndarray:
     """A custom law's density at the points of x, called one point at a time."""
     return np.array([pdf(v) for v in x.tolist()], dtype=float)
 
 
-def _custom_kernel(src: ScalarSource, y: np.ndarray, q, cross: bool) -> np.ndarray:
-    """Output density of a custom law at the points y (cross density with ``cross``), for q > 0.
+def _custom_kernel(src: ScalarSource, y: np.ndarray, q: np.ndarray, cross: bool) -> np.ndarray:
+    """A custom law's output density (cross density with ``cross``) at the 1-D y, one row per q.
 
-    A tensor rule.  The sorted points go in chunks at most 8 TAIL_WIDTH
-    wide and ``_CHUNK_POINTS`` long.  Each chunk takes one vector integral
-    over the x window its points see, the support cut to
-    [y_min - TAIL_WIDTH, y_max + TAIL_WIDTH] / sqrt(q), with the support
-    ends and 0 as breakpoints, so the pdf is called once per x node for
-    the whole chunk.  The components are pdf phi for every point, or
-    (x+) pdf phi and (x-) pdf phi, whose difference is the cross density.
-    All are nonnegative, so ``_KERNEL_QUADRATURE`` gives each point
-    relative accuracy, in the output tails and where the cross density
-    changes sign.  The width cap keeps the window narrow at high q, where
-    phi(y - sqrt(q) x) is a spike in x; the length cap bounds the
-    (components, nodes) block of a pass.  An (m, 1) column of q gives one
-    row per q, each from its own tensor rule.
+    The kernel body's ``custom`` case: q is a column of positive values,
+    and each row is a tensor rule.  The sorted points go in chunks at most
+    8 TAIL_WIDTH wide and ``_CHUNK_POINTS`` long, the same for every row.
+    Each chunk takes one vector integral over the x window its points
+    see, the support cut to [y_min - TAIL_WIDTH, y_max + TAIL_WIDTH] /
+    sqrt(q), with the support ends and 0 as breakpoints, so the pdf is
+    called once per x node for the whole chunk.  The components are
+    pdf phi for every point, or (x+) pdf phi and (x-) pdf phi, whose
+    difference is the cross density.  All are nonnegative, so
+    ``_KERNEL_QUADRATURE`` gives each point relative accuracy, in the
+    output tails and where the cross density changes sign.  The width cap
+    keeps the window narrow at high q, where phi(y - sqrt(q) x) is a
+    spike in x; the length cap bounds the (components, nodes) block of a
+    pass.
     """
-    if np.ndim(q):
-        return np.stack([_custom_kernel(src, y, qi, cross) for qi in q[:, 0]])
-    sq = math.sqrt(q)
     lo, hi = src.support
-    ys = np.ravel(y)
-    order = np.argsort(ys, kind="stable")
-    ends = np.searchsorted(ys[order], ys[order] + 8.0 * TAIL_WIDTH, side="right")
-    ends = np.minimum(ends, np.arange(ys.size) + _CHUNK_POINTS)
-    out = np.zeros((2 if cross else 1, ys.size))
-    start = 0
-    while start < ys.size:
-        chunk = order[start : ends[start]]
-        start = ends[start]
-        a = max(lo, (ys[chunk[0]] - TAIL_WIDTH) / sq)
-        b = min(hi, (ys[chunk[-1]] + TAIL_WIDTH) / sq)
-        if not a < b:
-            continue
+    order = np.argsort(y, kind="stable")
+    ends = np.searchsorted(y[order], y[order] + 8.0 * TAIL_WIDTH, side="right")
+    ends = np.minimum(ends, np.arange(y.size) + _CHUNK_POINTS)
+    out = np.zeros((len(q), 2 if cross else 1, y.size))
+    for row, sq in zip(out, np.sqrt(q[:, 0]).tolist()):
+        start = 0
+        while start < y.size:
+            chunk = order[start : ends[start]]
+            start = ends[start]
+            a = max(lo, (y[chunk[0]] - TAIL_WIDTH) / sq)
+            b = min(hi, (y[chunk[-1]] + TAIL_WIDTH) / sq)
+            if not a < b:
+                continue
 
-        def f(x, yc=ys[chunk, None]):
-            v = _phi(yc - sq * x) * _pdf_values(src.pdf, x)
-            return np.concatenate((v * np.maximum(x, 0.0), v * np.maximum(-x, 0.0))) if cross else v
+            def f(x, yc=y[chunk, None], sq=sq):
+                v = _phi(yc - sq * x) * _pdf_values(src.pdf, x)
+                if cross:
+                    return np.concatenate((v * np.maximum(x, 0.0), v * np.maximum(-x, 0.0)))
+                return v
 
-        parts = integrate(f, (a, b), _KERNEL_QUADRATURE, breakpoints=(lo, 0.0, hi)).value
-        out[:, chunk] = parts.reshape(len(out), chunk.size)
-    return (out[0] - out[1] if cross else out[0]).reshape(np.shape(y))
+            parts = integrate(f, (a, b), _KERNEL_QUADRATURE, breakpoints=(lo, 0.0, hi)).value
+            row[:, chunk] = parts.reshape(len(row), chunk.size)
+    return out[:, 0] - out[:, 1] if cross else out[:, 0]
 
 
 # -- constructors ---------------------------------------------------------

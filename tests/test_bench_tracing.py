@@ -1,7 +1,10 @@
 """The benchmark's tracer wraps module attributes by name; it must still find them."""
 
+import math
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,19 +32,29 @@ def test_tracer_installs_and_removes():
     assert (cli.derivative_at_zero, tone_channel.integrate, sources.ScalarSource.sample) == before
 
 
-def test_tracer_sees_point_kernel_calls():
+@pytest.mark.parametrize("kind", ["mixture", "uniform", "exponential", "custom"])
+def test_tracer_sees_point_kernel_calls(kind):
     # the kernel metrics come from the wrapped ScalarSource methods; an
-    # integrand that reached the kernels some other way would zero them
+    # integrand that reached a kind's kernel body some other way would zero them
+    from mmselab import sources
     from mmselab.scalar_channel import ScalarChannel, mmse
-    from mmselab.sources import rademacher
 
+    b = math.sqrt(6.0)
+    src = {
+        "mixture": sources.rademacher,
+        "uniform": sources.uniform,
+        "exponential": sources.expstd,
+        "custom": lambda: sources.custom_source(lambda x: max(0.0, (1 - abs(x) / b) / b), (-b, b)),
+    }[kind]()
+    spans = ("kernel.custom",) if kind == "custom" else ("kernel.point", "kernel.bulk")
     tracer = _tracing().Tracer()
     tracer.install()
     try:
-        mmse(ScalarChannel(rademacher(), 1.0))
+        mmse(ScalarChannel(src, 1.0))
     finally:
         tracer.remove()
-    assert tracer.stats.get("kernel.point", [0])[0] + tracer.stats.get("kernel.bulk", [0])[0] > 0
+    assert src.kind == kind
+    assert sum(tracer.stats.get(name, [0])[0] for name in spans) > 0
 
 
 def test_tracer_sees_tone_integrals():

@@ -63,6 +63,13 @@ def test_channel_validation():
     raw = ScalarSource(kind="mixture", name="raw", components=((1.0, 1.0, 2.0),))
     with pytest.raises(ValueError):
         ScalarChannel(raw, 1.0)
+    # the derivative set takes no ScalarChannel; unchecked, this raw law's
+    # D'(0) came back as 0.5, where every standardized law has 0
+    raw = ScalarSource(kind="mixture", name="raw", components=((0.5, 0.0, 0.0), (0.5, 2.0, 0.0)))
+    with pytest.raises(ValueError, match="source 'raw' is not standardized"):
+        divergence_derivatives_at_zero(raw)
+    with pytest.raises(ValueError, match="source 'raw' is not standardized"):
+        scalar_channel._channel_integrals(raw, [("mmse", 0.0)], QuadratureConfig())
 
 
 def test_output_density_examples():
