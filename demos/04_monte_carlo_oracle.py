@@ -4,22 +4,10 @@
 Draws paired (X, W) samples, forms Y = W + sqrt(q) X, scores the Bayes
 estimate, and compares the sample mean of (X - E[X|Y])^2 with the
 quadrature value for every registered law.  Agreement is reported in
-standard errors; one path simulation of the integrated-observation channel
-closes the tour.
+standard errors.
 """
 
-import numpy as np
-
-from mmselab import (
-    KalmanSetup,
-    McConfig,
-    ScalarChannel,
-    builtin_sources,
-    mc_scalar_mmse,
-    mmse,
-    simulate_path,
-    unit_amplitude,
-)
+from mmselab import McConfig, ScalarChannel, builtin_sources, mc_scalar_mmse, mmse
 
 print("=" * 76)
 print("Monte Carlo (10^6 paired draws) against quadrature")
@@ -35,15 +23,3 @@ for i, src in enumerate(builtin_sources()):
             f"  {src.name:<12s}{q:5.1f}{est.value:16.6f}{est.std_error:11.1e}"
             f"{ref:14.6f}{sig:8.2f}"
         )
-
-print()
-print("=" * 76)
-print("One discretized observation path (unit-amplitude tone, N=1, q=4)")
-print("=" * 76)
-setup = KalmanSetup(1, 4.0, 4096)
-path = simulate_path(setup, unit_amplitude(), np.random.default_rng(11))
-energy = float(np.sum(path.signal**2) * setup.dt)
-residual = path.increments - np.sqrt(setup.q) * path.signal * setup.dt
-print(f"  signal energy on the horizon: {energy:.6f} (normalized to 1)")
-print(f"  increment residual variance:  {np.var(residual):.6e} (dt = {setup.dt:.6e})")
-print(f"  increment residual mean:      {residual.mean():+.2e} (zero-mean noise)")

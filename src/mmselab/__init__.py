@@ -64,11 +64,9 @@ from .ct_verify import (
     KalmanSetup,
     McConfig,
     McEstimate,
-    PathSample,
     kalman_cmmse,
     kalman_mmse,
     mc_scalar_mmse,
-    simulate_path,
 )
 
 __version__ = "0.1.0"

@@ -1,11 +1,8 @@
-"""Independent verification paths for the channel error formulas.
+"""Two verification paths for the channel error formulas.
 
-Three tools, none of which share code with the quadrature modules:
-
-- :func:`simulate_path`: Euler discretization of the integrated-observation
-  channel  d eta = sqrt(q) xi(t) dt + dW  over one drawn tone signal.
 - :func:`kalman_cmmse` / :func:`kalman_mmse`: exact error covariances of the
-  Gaussian-amplitude tone signal on the 2N static Fourier coefficients.
+  Gaussian-amplitude tone signal on the 2N static Fourier coefficients, from
+  their own basis: an independent check of the Gaussian tone errors.
   The causal error is a sum over innovations: each chunk of steps takes
   the variances of its measurement innovations from one Cholesky
   factorization, given the information matrix at the chunk's start.  The
@@ -16,7 +13,8 @@ Three tools, none of which share code with the quadrature modules:
   sampling is involved, and because the state is static the smoothing
   covariance equals the final filtering covariance.
 - :func:`mc_scalar_mmse`: seeded Monte Carlo estimate of the scalar-channel
-  error E[(X - E[X|Y])^2] with its standard error.
+  error E[(X - E[X|Y])^2] with its standard error, from the kernels the
+  quadrature uses: a check of the y-integration and panels, not the kernels.
 
 The N tones have frequencies 1..N on the horizon ``HORIZON`` = 2 pi, which
 makes them orthogonal; neither enters the error formulas.
@@ -32,16 +30,14 @@ import numpy as np
 
 from .numerics import NumericsError, _check_snr
 from .scalar_channel import _BLOCK_POINTS, ScalarChannel, conditional_mean
-from .sources import AmplitudeLaw, ScalarSource
+from .sources import ScalarSource
 
 __all__ = [
     "HORIZON",
     "IllConditioned",
     "KalmanSetup",
     "McConfig",
-    "PathSample",
     "McEstimate",
-    "simulate_path",
     "kalman_cmmse",
     "kalman_mmse",
     "mc_scalar_mmse",
@@ -95,13 +91,6 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    times: np.ndarray
-    increments: np.ndarray
-    signal: np.ndarray
-
-
-@dataclass(frozen=True)
 class McEstimate:
     value: float
     std_error: float
@@ -114,22 +103,6 @@ def _basis_matrix(setup: KalmanSetup) -> np.ndarray:
     omega = 2.0 * math.pi * np.arange(1, setup.n_tones + 1) / HORIZON
     phases = np.outer(t, omega)
     return np.hstack((np.cos(phases), np.sin(phases))) / math.sqrt(HORIZON)
-
-
-def simulate_path(setup: KalmanSetup, law: AmplitudeLaw, rng: np.random.Generator) -> PathSample:
-    """One discretized observation path with its drawn tone signal.
-
-    Increments are sqrt(q) xi(t_j) dt + N(0, dt); the signal uses one draw
-    of amplitudes/phases per path, energy-normalized over the tone count.
-    """
-    n, dt = setup.n_tones, setup.dt
-    coeff = law.sample_coefficients(rng, n) / math.sqrt(n)  # per-tone (cos, sin) weights
-    basis = _basis_matrix(setup) * math.sqrt(2.0)
-    signal = basis @ np.concatenate((coeff[:, 0], coeff[:, 1]))
-    noise = rng.standard_normal(setup.n_steps) * math.sqrt(dt)
-    increments = math.sqrt(setup.q) * signal * dt + noise
-    times = np.arange(setup.n_steps) * dt
-    return PathSample(times=times, increments=increments, signal=signal)
 
 
 def kalman_cmmse(setup: KalmanSetup) -> float:

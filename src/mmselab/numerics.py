@@ -142,7 +142,7 @@ def _in_range(quantity: str, value: float, err: float, law: str, q: float, hi: f
     The channel quantities are bounded for every law (an mmse by the
     Gaussian input's error, a divergence by the entropy gap of the noise),
     so a value beyond the slack is a failed integral.  A value inside the
-    slack but below 0 is a vanishing quantity's rounding and comes back as 0.
+    slack is rounding and comes back clamped to [0, hi], nearer the truth.
     """
     slack = err + 4.0 * math.ulp(max(hi, 1.0))
     if not -slack <= value <= hi + slack:
@@ -150,7 +150,7 @@ def _in_range(quantity: str, value: float, err: float, law: str, q: float, hi: f
             f"{quantity} {value:.17g} of law {law!r} at q={q!r} lies outside"
             f" [0, {hi:.17g}] by more than its error bound {err:.3e}"
         )
-    return max(0.0, value)
+    return min(max(0.0, value), hi)
 
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK dqk21), one half of

@@ -194,7 +194,10 @@ def mmse_taylor3(src: ScalarSource, q: float) -> float:
     m3 = src.moment(3)
     m4 = src.moment(4)
     c3 = (m4 * m4 - 6.0 * m4 - 2.0 * m3 * m3 + 15.0) / 6.0
-    return 1.0 - q + q * q - c3 * q**3
+    try:
+        return 1.0 - q + q * q - c3 * q**3
+    except OverflowError:  # q**3 past the float range: the cubic's limit
+        return -math.copysign(math.inf, c3)
 
 
 def d4_at_zero_from_moments(src: ScalarSource) -> float:

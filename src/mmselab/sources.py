@@ -546,16 +546,6 @@ class AmplitudeLaw:
             kept = tuple((v, w) for v, w in self.magnitudes if w > 0)
             object.__setattr__(self, "magnitudes", kept)
 
-    def sample_coefficients(self, rng: np.random.Generator, n: int):
-        """n draws of the per-tone coefficient pair (a cos th, -a sin th)."""
-        if self.kind == "gaussian-pair":
-            return rng.standard_normal((n, 2)) / math.sqrt(2.0)
-        a_vals = np.array([v for v, _ in self.magnitudes])
-        a_probs = np.array([w for _, w in self.magnitudes])
-        a = rng.choice(a_vals, size=n, p=a_probs)
-        th = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        return np.column_stack((a * np.cos(th), -a * np.sin(th)))
-
     def output_panels(self, x: float) -> tuple:
         """Domain (0, R) and ring breakpoints of the radial integrals at per-tone snr x.
 

@@ -145,6 +145,14 @@ def test_scalar_nearly_coincident_atoms_exit_0(tmp_path):
     assert 0.0 < float(read_csv(out)[0]["mmse"]) < 0.5
 
 
+def test_scalar_snr_past_the_cube_range_exits_0(tmp_path):
+    # q**3 overflows in the Taylor column, which holds the cubic's limit
+    code, out = run_cli(["scalar", "--source", "uniform", "--q-grid", "1e300"], tmp_path)
+    assert code == EXIT_OK
+    row = read_csv(out)[0]
+    assert (row["mmse"], row["mmse_taylor3"]) == ("1e-300", "-inf")
+
+
 def test_tones_gaussian_exact_matches_closed_form(tmp_path):
     code, out = run_cli(
         [

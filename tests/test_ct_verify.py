@@ -13,10 +13,9 @@ from mmselab.ct_verify import (
     kalman_cmmse,
     kalman_mmse,
     mc_scalar_mmse,
-    simulate_path,
 )
 from mmselab.scalar_channel import ScalarChannel, mmse
-from mmselab.sources import builtin_sources, gaussian, gaussian_pair_amplitude, rademacher, unit_amplitude
+from mmselab.sources import builtin_sources, gaussian, rademacher
 from mmselab.tone_channel import gaussian_cmmse, gaussian_mmse_tone
 
 
@@ -33,43 +32,6 @@ def test_setup_validation():
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(sample_count=100)
-
-
-def test_simulate_path_pure_noise_at_zero_snr():
-    setup = KalmanSetup(1, 0.0, 4096)
-    path = simulate_path(setup, unit_amplitude(), np.random.default_rng(9))
-    assert path.increments.shape == (4096,)
-    assert np.var(path.increments) == pytest.approx(setup.dt, rel=0.1)
-    assert abs(np.mean(path.increments)) < 3 * math.sqrt(setup.dt / 4096)
-
-
-def test_simulate_path_reproducible():
-    setup = KalmanSetup(2, 1.5, 1024)
-    a = simulate_path(setup, unit_amplitude(), np.random.default_rng(4))
-    b = simulate_path(setup, unit_amplitude(), np.random.default_rng(4))
-    np.testing.assert_array_equal(a.increments, b.increments)
-    np.testing.assert_array_equal(a.signal, b.signal)
-
-
-def test_simulate_path_drift_matches_drawn_signal():
-    setup = KalmanSetup(1, 4.0, 8192)
-    path = simulate_path(setup, unit_amplitude(), np.random.default_rng(21))
-    # unit amplitude, N=1: signal energy is exactly 1 on the horizon
-    energy = float(np.sum(path.signal**2) * setup.dt)
-    assert energy == pytest.approx(1.0, rel=1e-3)
-    residuals = path.increments - math.sqrt(setup.q) * path.signal * setup.dt
-    assert abs(residuals.mean()) < 3 * math.sqrt(setup.dt / setup.n_steps)
-    assert np.var(residuals) == pytest.approx(setup.dt, rel=0.1)
-
-
-def test_gaussian_pair_path_statistics():
-    setup = KalmanSetup(4, 1.0, 512)
-    rng = np.random.default_rng(3)
-    energies = [
-        float(np.sum(simulate_path(setup, gaussian_pair_amplitude(), rng).signal ** 2) * setup.dt)
-        for _ in range(400)
-    ]
-    assert np.mean(energies) == pytest.approx(1.0, abs=0.05)
 
 
 def test_kalman_zero_snr_returns_energy():

@@ -330,6 +330,13 @@ def test_error_and_divergence_bounds_over_snr(src):
         assert 0.0 <= d <= 0.5 * math.log1p(q), (q, d)
 
 
+@pytest.mark.parametrize("src", [gaussian(), uniform(), expstd()], ids=lambda src: src.name)
+@pytest.mark.parametrize("q", [0.1, 1e16, 1e20])
+def test_mmse_never_exceeds_the_gaussian_error(src, q):
+    # a value within its error bound of 1/(1+q) comes back clamped to it
+    assert 0.0 <= mmse(ScalarChannel(src, q)) <= gaussian_mmse(q)
+
+
 @pytest.mark.parametrize("value", [1.5, -0.5])
 def test_out_of_range_integral_raises(monkeypatch, value):
     # each value puts both mmse = 1 - value and D = value outside their bounds

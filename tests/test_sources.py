@@ -15,7 +15,6 @@ from mmselab.sources import (
     from_atoms,
     gaussian,
     gaussian_mixture,
-    gaussian_pair_amplitude,
     magnitude_law,
     parse_amplitude,
     parse_source,
@@ -316,15 +315,6 @@ def test_amplitude_output_panels_rings(spec, x):
     domain, breakpoints = law.output_panels(x)
     assert domain == (0.0, sq * a_max + TAIL_WIDTH * math.sqrt(1.0 + 0.5 * x))
     assert breakpoints == [a * sq + d for a, _ in law.magnitudes for d in (-8.0, 8.0)]
-
-
-def test_amplitude_coefficient_sampling():
-    rng = np.random.default_rng(3)
-    pairs = unit_amplitude().sample_coefficients(rng, 50_000)
-    radii = np.hypot(pairs[:, 0], pairs[:, 1])
-    np.testing.assert_allclose(radii, 1.0, atol=1e-12)
-    g = gaussian_pair_amplitude().sample_coefficients(np.random.default_rng(4), 200_000)
-    assert np.mean(np.sum(g * g, axis=1)) == pytest.approx(1.0, abs=0.01)
 
 
 def test_parse_amplitude():
