@@ -15,6 +15,8 @@
 - :func:`mc_scalar_mmse`: seeded Monte Carlo estimate of the scalar-channel
   error E[(X - E[X|Y])^2] with its standard error, from the kernels the
   quadrature uses: a check of the y-integration and panels, not the kernels.
+  It holds one float64 per draw plus one block of temporaries, and gives
+  the bits of drawing and reducing full arrays.
 
 The N tones have frequencies 1..N on the horizon ``HORIZON`` = 2 pi, which
 makes them orthogonal; neither enters the error formulas.
@@ -29,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import NumericsError, _check_snr
-from .scalar_channel import _BLOCK_POINTS, ScalarChannel, conditional_mean
-from .sources import ScalarSource
+from .scalar_channel import ScalarChannel, conditional_mean
+from .sources import _BLOCK_POINTS, ScalarSource
 
 __all__ = [
     "HORIZON",
@@ -97,12 +99,20 @@ class McEstimate:
     sample_count: int
 
 
-def _basis_matrix(setup: KalmanSetup) -> np.ndarray:
-    """Rows h(t_j) = sqrt(1/T)[cos(w_k t_j).., sin(w_k t_j)..] at left endpoints."""
-    t = np.arange(setup.n_steps) * setup.dt
-    omega = 2.0 * math.pi * np.arange(1, setup.n_tones + 1) / HORIZON
+def _basis_matrix(setup: KalmanSetup, n_rows: int | None = None) -> np.ndarray:
+    """Rows h(t_j) = sqrt(1/T)[cos(w_k t_j).., sin(w_k t_j)..] at left endpoints.
+
+    With ``n_rows`` the steps are followed by zero rows up to that count.
+    """
+    n, steps = setup.n_tones, setup.n_steps
+    t = np.arange(steps) * setup.dt
+    omega = 2.0 * math.pi * np.arange(1, n + 1) / HORIZON
     phases = np.outer(t, omega)
-    return np.hstack((np.cos(phases), np.sin(phases))) / math.sqrt(HORIZON)
+    rows = np.zeros((steps if n_rows is None else n_rows, 2 * n))
+    rows[:steps, :n] = np.cos(phases)
+    rows[:steps, n:] = np.sin(phases)
+    rows /= math.sqrt(HORIZON)
+    return rows
 
 
 def kalman_cmmse(setup: KalmanSetup) -> float:
@@ -139,22 +149,32 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
             f"exceeds {_CAUSAL_REL_TOL:.0e}"
         )
     b = _CHUNK_STEPS
-    rows = np.zeros((-(-setup.n_steps // b) * b, 2 * n))
-    rows[: setup.n_steps] = _basis_matrix(setup)
-    rows = rows.reshape(-1, b, 2 * n)
+    rows = _basis_matrix(setup, -(-setup.n_steps // b) * b).reshape(-1, b, 2 * n)
     cols = rows.transpose(0, 2, 1)
-    info = np.cumsum(cols @ rows, axis=0)  # sums to each chunk's end ...
-    info[1:] = info[:-1]  # ... moved to the next chunk's start
+    # J_s: the chunks' H'H summed up to each chunk's start (the last chunk's
+    # own H'H enters no J_s), scaled and added to the prior's N I
+    info = np.empty((len(rows), 2 * n, 2 * n))
     info[0] = 0.0
+    np.matmul(cols[:-1], rows[:-1], out=info[1:])
+    np.cumsum(info[1:], axis=0, out=info[1:])
     info *= q * dt
     info += n * np.eye(2 * n)
-    w = np.linalg.inv(np.linalg.cholesky(info)) @ cols
+    # each per-chunk stack is dropped once used, so that at most three are
+    # held at a time
+    factor = np.linalg.cholesky(info)
+    del info
+    inverse = np.linalg.inv(factor)
+    del factor
+    w = inverse @ cols
+    del inverse, rows, cols
     g = w.transpose(0, 2, 1) @ w
+    del w
     g *= q * dt
     g_diag = np.diagonal(g, axis1=1, axis2=2).copy()
     diag = np.arange(b)
     g[:, diag, diag] += 1.0
     chol = np.linalg.cholesky(g)
+    del g
     pivots = np.square(chol[:, diag, diag])
     chol[:, diag, diag] = 0.0
     x = np.where(pivots > 2.0, pivots - 1.0, g_diag - np.einsum("cij,cij->ci", chol, chol))
@@ -185,18 +205,26 @@ def kalman_mmse(setup: KalmanSetup) -> float:
 def mc_scalar_mmse(src: ScalarSource, q: float, cfg: McConfig) -> McEstimate:
     """Monte Carlo scalar-channel error over paired draws of (X, W).
 
-    The outputs and squared errors are formed block by block, in cache.
+    The draws of X come first, then those of W, as one long draw of each.
+    Only X is held in full (8 bytes per draw): W is drawn block by block,
+    which continues the generator's stream exactly, and each block's
+    squared errors overwrite its X.  The mean and standard error are those
+    of ``np.mean`` and ``np.std(ddof=1)`` bit for bit (the same pairwise
+    sums), formed in place.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.sample_count
     x = src.sample(rng, n)
-    w = rng.standard_normal(n)
     ch, sq = ScalarChannel(src, q), math.sqrt(q)
-    sq_err = np.empty(n)
+    noise = np.empty(min(n, _BLOCK_POINTS))
     for start in range(0, n, _BLOCK_POINTS):
-        block = slice(start, start + _BLOCK_POINTS)
-        y = w[block] + sq * x[block]
-        np.square(x[block] - conditional_mean(ch, y), out=sq_err[block])
-    value = float(np.mean(sq_err))
-    std_error = float(np.std(sq_err, ddof=1) / math.sqrt(n))
-    return McEstimate(value=value, std_error=std_error, sample_count=n)
+        block = x[start : start + _BLOCK_POINTS]
+        y = rng.standard_normal(out=noise[: block.size])
+        y += sq * block
+        block -= conditional_mean(ch, y)
+        np.square(block, out=block)
+    mean = x.sum() / n
+    x -= mean
+    np.square(x, out=x)
+    std_error = math.sqrt(x.sum() / (n - 1)) / math.sqrt(n)
+    return McEstimate(value=float(mean), std_error=std_error, sample_count=n)

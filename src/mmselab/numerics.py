@@ -419,19 +419,27 @@ def kl_integrand_from_logs(log_p, log_g) -> np.ndarray:
     and the series below, and either density may underflow harmlessly (a
     vanished ``p`` contributes ``g``, the limit as ``p -> 0``).
     """
-    log_p = np.asarray(log_p, dtype=float)
-    g = np.exp(log_g)
+    log_p, log_g = np.broadcast_arrays(
+        np.asarray(log_p, dtype=float), np.asarray(log_g, dtype=float)
+    )
     log_ratio = log_p - log_g
+    # g, which is the whole term where p/g underflowed entirely (delta = -1,
+    # the p -> 0 limit); each other case replaces or scales it on its own
+    # nodes only, and a NaN delta (both logs -inf) falls to the last case
+    out = np.exp(log_g, out=np.empty(log_ratio.shape))
     delta = np.expm1(np.minimum(log_ratio, 30.0))
-    # (1+d)ln(1+d) - d = sum_{k>=2} (-1)^k d^k / (k(k-1)), through k = 8
-    series = np.zeros_like(delta)
-    for k in range(8, 1, -1):
-        series = series * delta + (-1) ** k / (k * (k - 1))
+    large = log_ratio > 30.0
+    near = np.abs(delta) < 1e-2
+    rest = ~(large | near | (delta <= -1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.exp(log_p)
-        return np.select(
-            [log_ratio > 30.0, delta <= -1.0, np.abs(delta) < 1e-2],
-            # p/g underflowed entirely in the second case: the p -> 0 limit is g
-            [p * log_ratio - p + g, g, g * delta * delta * series],
-            g * ((1.0 + delta) * np.log1p(delta) - delta),
-        )
+        p = np.exp(log_p[large])
+        out[large] = p * log_ratio[large] - p + out[large]
+        # (1+d)ln(1+d) - d = sum_{k>=2} (-1)^k d^k / (k(k-1)), through k = 8
+        d = delta[near]
+        series = np.zeros_like(d)
+        for k in range(8, 1, -1):
+            series = series * d + (-1) ** k / (k * (k - 1))
+        out[near] = out[near] * d * d * series
+        d = delta[rest]
+        out[rest] *= (1.0 + d) * np.log1p(d) - d
+    return out

@@ -46,7 +46,7 @@ from .numerics import (
     integrate,
     kl_integrand_from_logs,
 )
-from .sources import ScalarSource
+from .sources import _BLOCK_POINTS, ScalarSource
 
 __all__ = [
     "ScalarChannel",
@@ -61,12 +61,6 @@ __all__ = [
 ]
 
 _P_FLOOR = 1e-300
-# Points per block of conditional_mean.  The kernels' temporaries for one
-# block (256 KB per array) stay in cache: for the six built-in laws at 1e6
-# points, 2^15 took 405 ms against 552 ms in one pass, and 2^12 or 2^18
-# took 500 ms.
-_BLOCK_POINTS = 2**15
-
 # First step h0 of the divergence derivative schedule (see
 # divergence_derivatives_at_zero).
 _DERIVATIVE_STEP = 0.05

@@ -54,6 +54,12 @@ _KERNEL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300, max_subdivi
 # (2 x 32, nodes) arrays of a pass; 64 took as long and raised the peak
 # memory of a scalar sweep by 0.5 MB.
 _CHUNK_POINTS = 32
+# Points per block of the bulk kernel callers (scalar_channel.conditional_mean,
+# the Monte Carlo oracle) and of the mixture sampler.  The temporaries for one
+# block (256 KB per array) stay in cache: for the six built-in laws at 1e6
+# points, 2^15 took 405 ms against 552 ms in one pass, and 2^12 or 2^18
+# took 500 ms.
+_BLOCK_POINTS = 2**15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -165,24 +171,33 @@ class ScalarSource:
         if self.kind == "mixture":
             # the components as rng.choice(len(w), n, p=w) draws them, one
             # uniform per draw against the normalized cdf, with a comparison
-            # per component in place of its binary search: the same stream
+            # per component in place of its binary search: the same stream.
+            # The uniforms wait in the output array, and each block of them
+            # is overwritten by its draws; the generator fills an array in
+            # order, so the normals drawn block by block are one long draw.
             w, mu, s = np.array(self.components).T
             cdf = np.cumsum(w)
             cdf /= cdf[-1]
-            u = rng.random(n)
-            idx = np.zeros(n, dtype=np.intp)
-            for edge in cdf[:-1]:
-                idx += u >= edge
-            x = rng.standard_normal(n)
-            x *= s[idx]
-            x += mu[idx]
+            x = rng.random(n)
+            z = np.empty(min(n, _BLOCK_POINTS))
+            for start in range(0, n, _BLOCK_POINTS):
+                block = x[start : start + _BLOCK_POINTS]
+                idx = np.zeros(block.size, dtype=np.intp)
+                for edge in cdf[:-1]:
+                    idx += block >= edge
+                draws = rng.standard_normal(out=z[: block.size])
+                draws *= s[idx]
+                np.add(draws, mu[idx], out=block)
             return x
         if self.kind == "uniform":
             lo, hi = self.params
             return rng.uniform(lo, hi, size=n)
         if self.kind == "exponential":
             loc, s = self.params
-            return loc + s * rng.standard_exponential(n)
+            x = rng.standard_exponential(n)
+            x *= s
+            x += loc
+            return x
         raise ValueError("custom sources cannot be sampled")
 
     # -- channel kernels --------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,16 @@ from mmselab.ct_verify import (
     kalman_mmse,
     mc_scalar_mmse,
 )
-from mmselab.scalar_channel import ScalarChannel, mmse
-from mmselab.sources import builtin_sources, gaussian, rademacher
+from mmselab.scalar_channel import ScalarChannel, conditional_mean, mmse
+from mmselab.sources import (
+    builtin_sources,
+    expstd,
+    from_atoms,
+    gaussian,
+    gaussian_mixture,
+    rademacher,
+    uniform,
+)
 from mmselab.tone_channel import gaussian_cmmse, gaussian_mmse_tone
 
 
@@ -187,6 +196,56 @@ def test_mc_consistent_across_builtin_sources():
         quad_val = mmse(ScalarChannel(src, q))
         est = mc_scalar_mmse(src, q, McConfig(sample_count=2 * 10**5, seed=100 + i))
         assert abs(est.value - quad_val) <= 3 * est.std_error, src.name
+
+
+_STREAM_LAWS = (
+    rademacher(),
+    gaussian(),
+    uniform(),
+    expstd(),
+    gaussian_mixture(0.3, -1.0, 0.5, 2.0, 1.2, name="mix-skew"),
+    from_atoms([-2.0, -0.5, 0.0, 1.0, 3.0], [0.1, 0.2, 0.3, 0.25, 0.15], name="atoms-5"),
+)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 8.0])
+@pytest.mark.parametrize("src", _STREAM_LAWS, ids=lambda src: src.name)
+def test_mc_estimate_is_the_full_array_estimate_bit_for_bit(src, q):
+    # all of X, then all of W, each as one long draw, and numpy's own mean
+    # and std: the streamed estimator gives the same bits, partial last
+    # block included
+    n = 10**5 + 7
+    rng = np.random.default_rng(123)
+    x = src.sample(rng, n)
+    w = rng.standard_normal(n)
+    sq_err = np.square(x - conditional_mean(ScalarChannel(src, q), w + math.sqrt(q) * x))
+    est = mc_scalar_mmse(src, q, McConfig(sample_count=n, seed=123))
+    assert est.value == float(np.mean(sq_err))
+    assert est.std_error == float(np.std(sq_err, ddof=1) / math.sqrt(n))
+    assert est.sample_count == n
+
+
+def _traced_peak(f) -> int:
+    """Peak bytes traced by tracemalloc (numpy reports its buffers) while f runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracles_hold_one_float_per_draw():
+    # the Monte Carlo oracle keeps one float64 per draw plus a block of
+    # temporaries, and the Kalman oracle at N = 16 and 8192 steps less
+    n = 10**6
+    bound = 1.5 * 8 * n
+    for src in (rademacher(), uniform(), expstd()):
+        sample_peak = _traced_peak(lambda: src.sample(np.random.default_rng(0), n))
+        assert sample_peak <= bound, src.name
+        mc_peak = _traced_peak(lambda: mc_scalar_mmse(src, 2.0, McConfig(sample_count=n)))
+        assert mc_peak <= bound, src.name
+    assert _traced_peak(lambda: kalman_cmmse(KalmanSetup(16, 3.0, 8192))) < bound
 
 
 def test_gram_is_built_once_per_tone_count_and_steps():

@@ -223,6 +223,44 @@ def test_kl_integrand_matches_plain_form():
     )
 
 
+def _kl_integrand_select_form(log_p, log_g):
+    """Every case at every node, picked by ``np.select``."""
+    g = np.exp(log_g)
+    log_ratio = log_p - log_g
+    delta = np.expm1(np.minimum(log_ratio, 30.0))
+    series = np.zeros_like(delta)
+    for k in range(8, 1, -1):
+        series = series * delta + (-1) ** k / (k * (k - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.exp(log_p)
+        return np.select(
+            [log_ratio > 30.0, delta <= -1.0, np.abs(delta) < 1e-2],
+            [p * log_ratio - p + g, g, g * delta * delta * series],
+            g * ((1.0 + delta) * np.log1p(delta) - delta),
+        )
+
+
+def test_kl_integrand_computes_each_case_on_its_own_nodes_bit_for_bit():
+    rng = np.random.default_rng(5)
+    log_g = rng.uniform(-700.0, 2.0, (6, 2, 420))
+    spreads = np.array([1e-4, 1e-2, 0.3, 3.0, 40.0, 800.0])[:, None, None]
+    log_p = np.minimum(log_g + spreads * rng.standard_normal(log_g.shape), 5.0)
+    log_p[rng.random(log_p.shape) < 0.05] = -np.inf
+    log_ratio = log_p - log_g
+    delta = np.expm1(np.minimum(log_ratio, 30.0))
+    # log ratio > 30, p/g underflowed, the series and the closed form
+    assert np.any(log_ratio > 30.0)
+    assert np.any(np.isneginf(log_p))
+    assert np.any((delta <= -1.0) & np.isfinite(log_p))
+    assert np.any(np.abs(delta) < 1e-2)
+    assert np.any((np.abs(delta) >= 1e-2) & (delta > -1.0) & (log_ratio <= 30.0))
+    got = kl_integrand_from_logs(log_p, log_g)
+    assert got.tobytes() == _kl_integrand_select_form(log_p, log_g).tobytes()
+    assert np.all(got >= 0.0)
+    for a, b in ((0.3, 0.1), (-np.inf, -1.0), (40.0, 2.0), (0.1, 0.1 + 1e-9)):
+        assert kl_integrand_from_logs(a, b) == _kl_integrand_select_form(a, b)
+
+
 def test_kl_integrand_nonnegative_and_limits():
     assert kl_integrand_from_logs(math.log(0.4), math.log(0.4)) == 0.0
     assert kl_integrand_from_logs(-800.0, math.log(0.2)) == pytest.approx(0.2)
