@@ -198,6 +198,8 @@ def kalman_mmse(setup: KalmanSetup) -> float:
     q and is built once per (N, steps).
     """
     n, dt = setup.n_tones, setup.dt
+    if setup.q == 0.0:
+        return 1.0  # the prior energy, as in kalman_cmmse: the solve rounds above it
     gram = _gram(n, setup.n_steps)
     return float(np.trace(np.linalg.solve(n * np.eye(2 * n) + setup.q * dt * gram, gram))) * dt
 

@@ -13,6 +13,11 @@ components (w, mu, sigma) with sigma >= 0, where sigma = 0 is an atom.
 Closed forms are used for every built-in kind; ``custom`` laws take their
 kernels from a tensor rule, one vector-valued quadrature over x for each
 chunk of nearby output points.
+
+scipy.special is imported inside the two kernels that evaluate it, the
+``uniform`` (``ndtr``) and ``exponential`` (``erfcx``, ``ndtr``) branches,
+not at module level: importing this module, and every other law, loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.special as _sp
 
 from .numerics import TAIL_WIDTH, QuadratureConfig, integrate
 
@@ -81,6 +85,8 @@ def _ndtr_diff(v1, v2):
     calls, bit for bit: negation is exact, a - b = -(b - a), and adding
     0.0 turns the -0.0 of equal terms into +0.0.
     """
+    import scipy.special as _sp  # here, not at module level: only uniform laws pay for it
+
     s = np.where(np.asarray(v1) >= 0.0, -1.0, 1.0)
     return s * (_sp.ndtr(s * v2) - _sp.ndtr(s * v1)) + 0.0
 
@@ -264,6 +270,8 @@ class ScalarSource:
             # exp(1/(2 ssq^2) - u/ssq) Phi(u - 1/ssq) / ssq has a negative
             # exponent and is the stable one.
             # Each point is evaluated in its own branch only.
+            import scipy.special as _sp  # here, not at module level: only this law pays for it
+
             loc, s = self.params
             ssq = s * sq
             u = y - sq * loc

@@ -27,7 +27,9 @@ expansions are those of the Gaussian amplitude: 1 - q/(4N) and
 
 D and the mmse are one radial integral each, on the domain and ring
 breakpoints of ``AmplitudeLaw.output_panels``; a failure names the
-quantity, the law and the per-tone snr.
+quantity, the law and the per-tone snr.  The integrand's ``i0e`` and
+``i1e`` come from scipy.special, imported inside ``_radial_integral`` past
+its closed-form return, so the Gaussian amplitude never loads it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as _sp
 
 from .numerics import (
     DIVERGENCE_QUADRATURE,
@@ -97,6 +98,7 @@ def _radial_integral(quantity: str, law: AmplitudeLaw, x: float, cfg: Quadrature
     if x == 0.0 or law.kind == "gaussian-pair":
         # Gaussian coefficient pair: the output law *is* the matched Gaussian.
         return 1.0 / half_var if mmse else 0.0
+    import scipy.special as _sp  # here, not at module level: the Gaussian pair never loads it
 
     sq = math.sqrt(x)
     a, p = np.array(law.magnitudes).T[:, :, None]
