@@ -129,6 +129,14 @@ def _mc_point(spec: str, src, q: float, cfg: QuadratureConfig, samples: int, see
     quad_value = scalar_channel.mmse(scalar_channel.ScalarChannel(src, q), cfg)
     est = ct_verify.mc_scalar_mmse(src, q, mc_cfg)
     diff = abs(est.value - quad_value)
+    if est.std_error > 0:
+        n_sigmas = diff / est.std_error
+    else:
+        # every draw's error is the same (0 when the law's atoms separate
+        # fully): the runs agree within the tolerance of the quadrature's
+        # integral, which is 1 - mmse
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(1.0 - quad_value))
+        n_sigmas = 0.0 if diff <= tol else math.inf
     return {
         "source": spec,
         "q": q,
@@ -136,7 +144,7 @@ def _mc_point(spec: str, src, q: float, cfg: QuadratureConfig, samples: int, see
         "std_error": est.std_error,
         "quadrature": quad_value,
         "abs_diff": diff,
-        "n_sigmas": diff / est.std_error if est.std_error > 0 else math.inf,
+        "n_sigmas": n_sigmas,
     }
 
 

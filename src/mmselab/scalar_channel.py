@@ -82,16 +82,16 @@ class ScalarChannel:
 def conditional_mean(ch: ScalarChannel, y):
     """Bayes estimate E[X | Y = y] (vectorized); 0 where the density underflows.
 
-    Evaluated in blocks of ``_BLOCK_POINTS``; the built-in kernels work
-    point by point, so the blocks change no bit of their result.
+    The ratio cross / p of the output and cross densities, both from one
+    kernel evaluation per block of ``_BLOCK_POINTS``; the built-in kernels
+    work point by point, so the blocks change no bit of their result.
     """
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
     out = np.zeros(flat.size)
     for start in range(0, flat.size, _BLOCK_POINTS):
         block = flat[start : start + _BLOCK_POINTS]
-        p = ch.source.output_density(block, ch.q)
-        a = ch.source.cross_density(block, ch.q)
+        p, a = ch.source._kernel(block, ch.q, cross=True)
         np.divide(a, p, out=out[start : start + _BLOCK_POINTS], where=p > _P_FLOOR)
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 

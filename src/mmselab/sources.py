@@ -214,30 +214,40 @@ class ScalarSource:
         q is a float, or an (m, 1) array of positive values with a 1-D y,
         which gives an (m, y.size) array: row i is the call with q[i, 0]
         alone, bit for bit.  This and :meth:`cross_density` are entry
-        points of one per-kind body, in which a float q is a one-row column.
+        points of one per-kind body, in which a float q is a one-row column
+        and one evaluation gives both densities.
         """
         return self._kernel(y, q, cross=False)
 
     def cross_density(self, y, q):
-        """E_X[ X * phi(y - sqrt(q) X) ], vectorized over y; q as in :meth:`output_density`."""
-        return self._kernel(y, q, cross=True)
+        """E_X[ X * phi(y - sqrt(q) X) ], vectorized over y; q as in :meth:`output_density`.
 
-    def _kernel(self, y, q, cross: bool):
-        """The output density at y, or with ``cross`` the cross density, for a q column.
+        The second density of the kernel body, without the output density
+        that the body forms on the way (a custom law does not form it).
+        """
+        return self._kernel(y, q, cross=True, with_p=False)
 
-        At q = 0 every kind gives phi(y), and EX phi(y) for the cross
-        density.  Otherwise each kind forms its output density on the
-        (m, y.size) grid of q rows and points, and the cross density from
+    def _kernel(self, y, q, cross: bool, with_p: bool = True):
+        """The output density p at y, or with ``cross`` the pair (p, cross density), for a q column.
+
+        One evaluation gives both densities, each bit for bit the value of
+        its lone call; with ``with_p`` false it gives the cross density
+        alone.  At q = 0 every kind gives phi(y), and EX phi(y) for the
+        cross density.  Otherwise each kind forms p on the (m, y.size) grid
+        of q rows and points, and the cross density from the values behind
         it: a mixture weights each Gaussian component's density by its
-        posterior mean, the uniform and exponential laws have closed forms
-        (the exponential's from p by the score identity), and a custom law
-        integrates the x-weighted components of its tensor rule.
+        posterior mean, the uniform law reuses its ``ndtr`` difference and
+        the exponential law takes p's score identity.  A custom law
+        integrates each density by a tensor rule of its own, and p's only
+        when it is returned.
         """
         y = np.asarray(y, dtype=float)
         shape = y.shape if np.ndim(q) == 0 else (len(q),) + y.shape
         q = np.asarray(q, dtype=float).reshape(-1, 1)
         if q.size == 1 and q[0, 0] == 0.0:
-            return (self._moments[0] * _phi(y) if cross else _phi(y)).reshape(shape)
+            p = _phi(y).reshape(shape)
+            a = self._moments[0] * p
+            return (p, a) if cross and with_p else (a if cross else p)
         sq = np.sqrt(q)
         y = y.reshape(-1)
         if self.kind == "mixture":
@@ -250,19 +260,21 @@ class ScalarSource:
             np.divide(t, -2.0 * var, t)
             np.exp(t, t)
             np.divide(t, np.sqrt(2.0 * math.pi * var), t)
+            p = np.dot(w[:, 0, 0], t.reshape(w.size, -1))
             if cross:  # times the posterior mean (mu + sqrt(q) sigma^2 y) / var
                 post = (sq * s * s) * y
                 np.add(post, mu, post)
                 np.divide(post, var, post)
-                t = np.multiply(post, t, post)  # into post: into t took 20% longer
-            out = np.dot(w[:, 0, 0], t.reshape(w.size, -1))
+                np.multiply(post, t, post)  # into post: into t took 20% longer
+                a = np.dot(w[:, 0, 0], post.reshape(w.size, -1))
         elif self.kind == "uniform":
             lo, hi = self.params
             v1, v2 = y - sq * hi, y - sq * lo
-            out = _ndtr_diff(v1, v2)
+            d = _ndtr_diff(v1, v2)
+            p = d / ((hi - lo) * sq)
             if cross:
-                out = y * out + _phi(v2) - _phi(v1)
-            out /= (hi - lo) * (q if cross else sq)
+                a = y * d + _phi(v2) - _phi(v1)
+                a /= (hi - lo) * q
         elif self.kind == "exponential":
             # For X = loc + s*E:  p(y) = erfcx((1/(s*sq) - u)/sqrt2) exp(-u^2/2) / (2 s sq)
             # with u = y - sq*loc.  Past the crossover u > 1/(s*sq) the erfcx
@@ -282,23 +294,27 @@ class ScalarSource:
             else:  # each point's own s * sqrt(q)
                 k = np.broadcast_to(ssq, u.shape)
                 k_head, k_tail = k[pos], k[~pos]
-            out = np.empty_like(u)
-            out[pos] = (
+            p = np.empty_like(u)
+            p[pos] = (
                 _sp.erfcx((1.0 / k_head - head) / math.sqrt(2.0))
                 * np.exp(-0.5 * np.square(head))
                 / (2.0 * k_head)
             )
-            out[~pos] = (
+            p[~pos] = (
                 np.exp(0.5 / (k_tail * k_tail) - tail / k_tail) * _sp.ndtr(tail - 1.0 / k_tail)
                 / k_tail
             )
             if cross:
                 # score identity: E[X phi] = (p'(y) + y p(y)) / sq with
                 # p'(y) = (phi(u) - p)/(s*sq) for the shifted/scaled exponential.
-                out = ((_phi(u) - out) / ssq + y * out) / sq
+                a = ((_phi(u) - p) / ssq + y * p) / sq
         else:
-            out = _custom_kernel(self, y, q, cross)
-        return out.reshape(shape)
+            p = _custom_kernel(self, y, q, False) if with_p else None
+            if cross:
+                a = _custom_kernel(self, y, q, True)
+        if cross and with_p:
+            return p.reshape(shape), a.reshape(shape)
+        return (a if cross else p).reshape(shape)
 
     def output_panels(self, q: float) -> tuple:
         """Domain (-R, R) and panel breakpoints of the channel integrals at snr q.

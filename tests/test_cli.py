@@ -271,6 +271,28 @@ def test_mc_check_rows(tmp_path):
     assert float(read_csv(out)[0]["n_sigmas"]) <= 3.0
 
 
+@pytest.mark.parametrize(
+    "source,grid", [("rademacher", "1e3,1e8"), ("atoms:-1,0.5,1,0.5", "50,1e4")]
+)
+def test_mc_check_exact_estimates_agree(source, grid, tmp_path):
+    # at high snr every atom is recovered: each draw's error is 0, so the
+    # standard error is 0 and agreement is the quadrature's own tolerance
+    args = ["mc-check", "--source", source, "--q-grid", grid, "--samples", "100000"]
+    code, out = run_cli(args, tmp_path)
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert [(r["mc_value"], r["std_error"], r["n_sigmas"]) for r in rows] == [("0", "0", "0")] * 2
+    assert max(float(r["quadrature"]) for r in rows) <= 2.5e-12
+
+
+def test_mc_check_exact_estimate_off_the_quadrature_is_inf(monkeypatch, tmp_path):
+    monkeypatch.setattr("mmselab.scalar_channel.mmse", lambda ch, cfg: 1e-9)
+    args = ["mc-check", "--source", "rademacher", "--q-grid", "1e8", "--samples", "10000"]
+    code, out = run_cli(args, tmp_path)
+    assert code == EXIT_OK
+    assert read_csv(out)[0]["n_sigmas"] == "inf"
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["scalar", "--source", "rademacher", "--q-grid", "0.25,1"]
     _, out1 = run_cli(args, tmp_path, "a.csv")

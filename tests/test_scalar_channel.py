@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mmselab import scalar_channel
+from mmselab import scalar_channel, sources
 from mmselab.numerics import (
     DIVERGENCE_QUADRATURE,
     NonConvergence,
@@ -104,13 +104,59 @@ def test_conditional_mean_closed_forms():
 
 @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
 def test_conditional_mean_blocks_change_no_bit(blocks, extra):
+    # the pair of one kernel evaluation per block is the lone calls' ratio,
+    # bit for bit, at q = 0 as elsewhere, for a 0-d y and for a custom law
+    def one_pass(src, y, q):
+        p, a = src.output_density(y, q), src.cross_density(y, q)
+        return np.divide(a, p, out=np.zeros_like(p), where=p > 1e-300)
+
     size = blocks * scalar_channel._BLOCK_POINTS + extra
-    for i, src in enumerate(builtin_sources()):
-        ch = ScalarChannel(src, 2.5)
-        y = 4.0 * np.random.default_rng(i).standard_normal(size)
-        p, a = src.output_density(y, ch.q), src.cross_density(y, ch.q)
-        one_pass = np.divide(a, p, out=np.zeros_like(p), where=p > 1e-300)
-        assert conditional_mean(ch, y).tobytes() == one_pass.tobytes(), src.name
+    laws = [(src, size) for src in builtin_sources()] + [(TRIANGULAR, min(size, 40))]
+    for i, (src, n) in enumerate(laws):
+        y = 4.0 * np.random.default_rng(i).standard_normal(n)
+        for q in (0.0, 2.5):
+            ch = ScalarChannel(src, q)
+            got = conditional_mean(ch, y)
+            assert got.tobytes() == one_pass(src, y, q).tobytes(), (src.name, q)
+            y0 = np.array(y[0])
+            assert conditional_mean(ch, y0) == float(one_pass(src, y0, q)), (src.name, q)
+
+
+def test_conditional_mean_evaluates_the_kernel_once_per_block(monkeypatch):
+    calls = []
+    kernel = ScalarSource._kernel
+
+    def counted(src, y, *args, **kwargs):
+        calls.append(np.size(y))
+        return kernel(src, y, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarSource, "_kernel", counted)
+    size = 2 * scalar_channel._BLOCK_POINTS + 3
+    y = np.linspace(-5.0, 5.0, size)
+    for src in builtin_sources():
+        calls.clear()
+        conditional_mean(ScalarChannel(src, 2.0), y)
+        assert calls == [scalar_channel._BLOCK_POINTS] * 2 + [3], src.name
+
+
+def test_custom_law_integrates_only_the_densities_it_returns(monkeypatch):
+    # a custom law's p is a tensor rule of its own: the mmse integrand's
+    # lone cross density must not pay for it again
+    rules = []
+    rule = sources._custom_kernel
+
+    def counted(src, y, q, cross):
+        rules.append(cross)
+        return rule(src, y, q, cross)
+
+    monkeypatch.setattr(sources, "_custom_kernel", counted)
+    y = np.linspace(-3.0, 3.0, 7)
+    TRIANGULAR.cross_density(y, 2.0)
+    TRIANGULAR.output_density(y, 2.0)
+    assert rules == [True, False]
+    rules.clear()
+    conditional_mean(ScalarChannel(TRIANGULAR, 2.0), y)
+    assert rules == [False, True]
 
 
 @pytest.mark.parametrize("q,expected", sorted(RAD_MMSE.items()))
