@@ -21,6 +21,7 @@ from mmselab import (
     gaussian_pair_amplitude,
     mmse_exact,
     tone_divergence,
+    tone_errors,
     unit_amplitude,
 )
 
@@ -44,7 +45,7 @@ print("=" * 72)
 print(f"  {'N':>4s} {'cmmse':>12s} {'mmse':>12s} {'(1-cmmse)N/q':>14s} {'(1-mmse)N/q':>14s}")
 for n in (2, 4, 8, 16, 32, 64):
     m = ToneModel(n_tones=n, q=q)
-    cm, mm = cmmse_exact(m), mmse_exact(m)
+    cm, mm = tone_errors(m)  # both from one radial integral
     print(f"  {n:4d} {cm:12.8f} {mm:12.8f} {(1-cm)*n/q:14.6f} {(1-mm)*n/q:14.6f}")
 
 d2 = derivative_at_zero(lambda x: tone_divergence(law, x), order=2, cfg=DIVERGENCE_QUADRATURE)

@@ -58,6 +58,7 @@ from .tone_channel import (
     mmse_asymptotic,
     mmse_exact,
     tone_divergence,
+    tone_errors,
 )
 from .ct_verify import (
     IllConditioned,

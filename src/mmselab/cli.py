@@ -106,9 +106,9 @@ def _scalar_point(src, q: float, cfg: QuadratureConfig) -> dict:
 
 
 def _tone_point(law, n: int, q: float, cfg: QuadratureConfig) -> dict:
+    # both errors from one radial integral on one panel set
     model = tone_channel.ToneModel(n_tones=n, q=q, amplitude_law=law)
-    cm = tone_channel.cmmse_exact(model, cfg)
-    mm = tone_channel.mmse_exact(model, cfg)
+    cm, mm = tone_channel.tone_errors(model, cfg)
     scale = n / q if q > 0 else math.nan
     return {
         "n": n,

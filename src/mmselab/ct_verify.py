@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import NumericsError, _check_snr
+from .numerics import NumericsError, _check_snr, _in_range
 from .scalar_channel import ScalarChannel, conditional_mean
 from .sources import _BLOCK_POINTS, ScalarSource
 
@@ -115,6 +115,23 @@ def _basis_matrix(setup: KalmanSetup, n_rows: int | None = None) -> np.ndarray:
     return rows
 
 
+def _prior_rounds(setup: KalmanSetup) -> bool:
+    """Whether q < N eps/2, where both errors round to the prior energy 1.
+
+    The causal error is 1 - q/(4N) + .. and the smoothing error
+    1 - q/(2N) + ..; further down, q dt underflows.
+    """
+    return setup.q < 0.5 * setup.n_tones * _EPS
+
+
+def _in_unit_range(quantity: str, setup: KalmanSetup, value: float) -> float:
+    """``value`` held to [0, 1], the prior energy, within its rounding bound (1 + q) eps."""
+    return _in_range(
+        f"Kalman {quantity} of N={setup.n_tones}", value, (1.0 + setup.q) * _EPS,
+        "gaussian", setup.q, 1.0,
+    )
+
+
 def kalman_cmmse(setup: KalmanSetup) -> float:
     """Time-integrated filtering (causal) error of the Gaussian tone signal.
 
@@ -137,10 +154,11 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
     Rounding: J_s has eigenvalues in [N, N (1 + q)] and G_kk <= q / steps,
     so the relative error is of order (1 + q) eps.  Past ``_CAUSAL_REL_TOL``
     that bound raises IllConditioned rather than return a value it does
-    not hold (q above about 4.5e9).
+    not hold (q above about 4.5e9).  A value past [0, 1] by more than the
+    bound raises ``NumericsError``; within it, it is clamped.
     """
     n, dt, q = setup.n_tones, setup.dt, setup.q
-    if q == 0.0:
+    if _prior_rounds(setup):
         return 1.0  # the prior energy: sum_j |h_j|^2 dt / N = 1
     bound = (1.0 + q) * _EPS
     if bound > _CAUSAL_REL_TOL:
@@ -178,7 +196,7 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
     pivots = np.square(chol[:, diag, diag])
     chol[:, diag, diag] = 0.0
     x = np.where(pivots > 2.0, pivots - 1.0, g_diag - np.einsum("cij,cij->ci", chol, chol))
-    return float(np.sum(x / (1.0 + x))) / q
+    return _in_unit_range("causal error", setup, float(np.sum(x / (1.0 + x))) / q)
 
 
 @lru_cache(maxsize=64)
@@ -195,13 +213,16 @@ def kalman_mmse(setup: KalmanSetup) -> float:
 
     One solve with the final information matrix J = N I + q dt B'B, B the
     basis rows: the error is dt trace(J^-1 B'B).  B'B does not depend on
-    q and is built once per (N, steps).
+    q and is built once per (N, steps).  The solve rounds up to 2 ulp above
+    the prior energy at low q, so the value is held to [0, 1] as in
+    :func:`kalman_cmmse`.
     """
     n, dt = setup.n_tones, setup.dt
-    if setup.q == 0.0:
-        return 1.0  # the prior energy, as in kalman_cmmse: the solve rounds above it
+    if _prior_rounds(setup):
+        return 1.0
     gram = _gram(n, setup.n_steps)
-    return float(np.trace(np.linalg.solve(n * np.eye(2 * n) + setup.q * dt * gram, gram))) * dt
+    value = float(np.trace(np.linalg.solve(n * np.eye(2 * n) + setup.q * dt * gram, gram))) * dt
+    return _in_unit_range("smoothing error", setup, value)
 
 
 def mc_scalar_mmse(src: ScalarSource, q: float, cfg: McConfig) -> McEstimate:

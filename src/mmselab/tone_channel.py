@@ -25,11 +25,15 @@ Gaussian-amplitude closed forms when D == 0.  Since D(0) = D'(0) = D''(0)
 expansions are those of the Gaussian amplitude: 1 - q/(4N) and
 1 - q/(2N).
 
-D and the mmse are one radial integral each, on the domain and ring
-breakpoints of ``AmplitudeLaw.output_panels``; a failure names the
-quantity, the law and the per-tone snr.  The integrand's ``i0e`` and
-``i1e`` come from scipy.special, imported inside ``_radial_integral`` past
-its closed-form return, so the Gaussian amplitude never loads it.
+D and the mmse share one radial integrand, on the domain and ring
+breakpoints of ``AmplitudeLaw.output_panels``: :func:`tone_errors` takes
+both errors of a point from one two-component integral, each component
+held to its own tolerance, while :func:`tone_divergence`,
+:func:`cmmse_exact` and :func:`mmse_exact` integrate their one quantity.
+A failure names the quantity, the law and the per-tone snr.  The
+integrand's ``i0e`` and ``i1e`` come from scipy.special, imported inside
+``_radial_integral`` past its closed-form return, so the Gaussian
+amplitude never loads it.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
     "dn_divergence",
     "cmmse_exact",
     "mmse_exact",
+    "tone_errors",
     "gaussian_cmmse",
     "gaussian_mmse_tone",
     "cmmse_asymptotic",
@@ -83,21 +88,26 @@ class ToneModel:
         object.__setattr__(self, "q", _check_snr(self.q))
 
 
-def _radial_integral(quantity: str, law: AmplitudeLaw, x: float, cfg: QuadratureConfig) -> float:
-    """The single-tone ``"divergence"`` D(x) or ``"mmse"`` at per-tone snr x.
+def _radial_integral(
+    quantities: tuple, law: AmplitudeLaw, x: float, cfg: QuadratureConfig
+) -> tuple:
+    """Values of ``quantities`` of one tone at per-tone snr x, from one radial integral.
 
-    One integral over the output radius r on ``law.output_panels(x)``.
-    Magnitude a of probability p contributes p exp(-(r - a sqrt(x))^2 / 2)
-    i0e(r a sqrt(x)) to f(r)/r, summed as a logsumexp; only the mmse forms
-    the posterior mean E[a I1/I0(r a sqrt(x)) | r].  A ``NonConvergence``
-    names the quantity, the law and x.
+    A quantity is ``"divergence"``, D(x), or ``"mmse"``.  Each is a
+    component of one vector integral over the output radius r on
+    ``law.output_panels(x)``, held to its own tolerance.  Magnitude a of
+    probability p contributes p exp(-(r - a sqrt(x))^2 / 2) i0e(r a sqrt(x))
+    to f(r)/r, summed once per node as a logsumexp for all the quantities;
+    only the divergence forms its ``kl_integrand_from_logs`` term, and only
+    the mmse the posterior mean E[a I1/I0(r a sqrt(x)) | r].  A
+    ``NonConvergence`` names the quantity of the failing component, the law
+    and x.
     """
     x = _check_snr(x)
     half_var = 1.0 + 0.5 * x
-    mmse = quantity == "mmse"
     if x == 0.0 or law.kind == "gaussian-pair":
         # Gaussian coefficient pair: the output law *is* the matched Gaussian.
-        return 1.0 / half_var if mmse else 0.0
+        return tuple(1.0 / half_var if quantity == "mmse" else 0.0 for quantity in quantities)
     import scipy.special as _sp  # here, not at module level: the Gaussian pair never loads it
 
     sq = math.sqrt(x)
@@ -112,20 +122,30 @@ def _radial_integral(quantity: str, law: AmplitudeLaw, x: float, cfg: Quadrature
         scaled = np.exp(terms - top)
         total = scaled.sum(axis=0)
         log_f = top + np.log(total)  # ln(f(r)/r)
-        if mmse:
+        parts = {}
+        if "mmse" in quantities:
             mean = (scaled * a * _sp.i1e(z) / i0e).sum(axis=0) / total
-            return r * np.exp(log_f) * mean * mean
-        log_r = np.log(r)
-        return kl_integrand_from_logs(log_r + log_f, log_r + log_g_norm - 0.5 * r * r / half_var)
+            parts["mmse"] = r * np.exp(log_f) * mean * mean
+        if "divergence" in quantities:
+            log_r = np.log(r)
+            parts["divergence"] = kl_integrand_from_logs(
+                log_r + log_f, log_r + log_g_norm - 0.5 * r * r / half_var
+            )
+        return np.stack([parts[quantity] for quantity in quantities])
 
     domain, breakpoints = law.output_panels(x)
     try:
         est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
     except NonConvergence as exc:
+        quantity = quantities[exc.component]
         raise NonConvergence(f"tone {quantity} of law {law.name!r} at q={x!r}: {exc}") from exc
-    if mmse:
-        return _in_range("tone mmse", 1.0 - est, err, law.name, x, 1.0 / half_var)
-    return _in_range("tone divergence", est, err, law.name, x, math.log(half_var))
+    values = []
+    for quantity, v, e in zip(quantities, np.ravel(est).tolist(), np.ravel(err).tolist()):
+        if quantity == "mmse":
+            values.append(_in_range("tone mmse", 1.0 - v, e, law.name, x, 1.0 / half_var))
+        else:
+            values.append(_in_range("tone divergence", v, e, law.name, x, math.log(half_var)))
+    return tuple(values)
 
 
 def tone_divergence(
@@ -136,7 +156,7 @@ def tone_divergence(
     Raises ``NumericsError`` if the integral fails or leaves [0, ln(1 + q/2)],
     the entropy gap of the two-dimensional noise, by more than its error.
     """
-    return _radial_integral("divergence", law, q, cfg)
+    return _radial_integral(("divergence",), law, q, cfg)[0]
 
 
 def dn_divergence(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
@@ -145,12 +165,21 @@ def dn_divergence(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATUR
     return n * tone_divergence(model.amplitude_law, model.q / n, cfg)
 
 
-def cmmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
-    """Causal error of the N-tone signal; 1 at q = 0 (limit value)."""
-    q = model.q
+def _cmmse(n: int, q: float, divergence: float) -> float:
+    """Causal error from the single-tone divergence D(q/N); 1 at q = 0 (limit value).
+
+    The divergence term is divided by q last: 2/q overflows below q of
+    about 1e-308, where D is 0.
+    """
     if q == 0.0:
         return 1.0
-    return gaussian_cmmse(model.n_tones, q) - (2.0 / q) * dn_divergence(model, cfg)
+    return gaussian_cmmse(n, q) - 2.0 * n * divergence / q
+
+
+def cmmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
+    """Causal error of the N-tone signal; 1 at q = 0 (limit value)."""
+    n = model.n_tones
+    return _cmmse(n, model.q, tone_divergence(model.amplitude_law, model.q / n, cfg))
 
 
 def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
@@ -164,15 +193,32 @@ def mmse_exact(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) 
     Raises ``NumericsError`` if the integral fails or leaves [0, 1/(1 + x/2)]
     by more than its error.
     """
-    return _radial_integral("mmse", model.amplitude_law, model.q / model.n_tones, cfg)
+    return _radial_integral(("mmse",), model.amplitude_law, model.q / model.n_tones, cfg)[0]
+
+
+def tone_errors(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> tuple:
+    """``(cmmse, mmse)`` of the N-tone signal, from one radial integral at x = q/N.
+
+    D(x) and the mmse are two components of one integral, each held to its
+    own tolerance; the values are those of :func:`cmmse_exact` and
+    :func:`mmse_exact` within their error bounds.
+    """
+    n, q = model.n_tones, model.q
+    divergence, mmse = _radial_integral(("divergence", "mmse"), model.amplitude_law, q / n, cfg)
+    return _cmmse(n, q, divergence), mmse
 
 
 def gaussian_cmmse(n: int, q: float) -> float:
-    """Causal error of the Gaussian-amplitude signal; 1 at q = 0 (limit)."""
+    """Causal error of the Gaussian-amplitude signal: (2N/q) ln(1 + q/(2N)).
+
+    1 where x = q/(2N) < eps/2, which the series 1 - x/2 + ... rounds to;
+    below q of about 1e-308 N the product would be inf or 0 * inf.
+    """
     q = _check_snr(q)
-    if q == 0.0:
+    x = q / (2.0 * n)
+    if x < 0.5 * math.ulp(1.0):
         return 1.0
-    return (2.0 * n / q) * math.log1p(q / (2.0 * n))
+    return (2.0 * n / q) * math.log1p(x)
 
 
 def gaussian_mmse_tone(n: int, q: float) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mmselab import tone_channel
 from mmselab.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -228,6 +229,50 @@ def test_tones_high_snr_match_the_rician_reference(tmp_path, amplitude, q, expec
     code, out = run_cli(argv, tmp_path)
     assert code == EXIT_OK
     assert float(read_csv(out)[0]["cmmse_exact"]) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "amplitude, calls",
+    [("unit", 4), ("mags:0.2,0.8,2.2,0.2", 4), ("gaussian", 0)],
+)
+def test_tones_one_radial_integral_per_point(monkeypatch, tmp_path, amplitude, calls):
+    # cmmse and mmse of a point share one integral; q = 0 and the Gaussian
+    # pair take closed forms
+    domains = []
+    original = tone_channel.integrate
+
+    def counted(f, domain, *args, **kwargs):
+        domains.append(domain)
+        return original(f, domain, *args, **kwargs)
+
+    monkeypatch.setattr(tone_channel, "integrate", counted)
+    argv = ["tones", "--amplitude", amplitude, "--n-list", "1,4", "--q-grid", "0,0.5,8"]
+    code, out = run_cli(argv, tmp_path)
+    assert code == EXIT_OK
+    assert len(read_csv(out)) == 6
+    assert len(domains) == calls
+
+
+@pytest.mark.parametrize("q", ["5e-324", "1e-310", "1e-300"])
+def test_tones_tiny_q_prints_the_prior_energy(tmp_path, q):
+    # the product (2N/q) ln(1 + q/(2N)) gave gaussian_cmmse nan or inf here,
+    # and cmmse_exact nan
+    code, out = run_cli(["tones", "--n-list", "1,2", "--q-grid", q], tmp_path)
+    assert code == EXIT_OK
+    for row in read_csv(out):
+        for column in ("cmmse_exact", "mmse_exact", "gaussian_cmmse", "gaussian_mmse"):
+            assert row[column] == "1", (row["n"], column)
+
+
+@pytest.mark.parametrize("q", ["5e-324", "1e-320"])
+def test_kalman_tiny_q_stays_within_the_prior_energy(tmp_path, q):
+    # with q dt underflowed, cmmse read 0 or 1.0118577075098814, mmse
+    # 1 + 1-2 ulp and cmmse_target inf
+    code, out = run_cli(["kalman", "--n-list", "1", "--q-grid", q], tmp_path)
+    assert code == EXIT_OK
+    for row in read_csv(out):
+        for column in ("cmmse", "mmse", "cmmse_target", "mmse_target"):
+            assert row[column] == "1", (row["dt"], column)
 
 
 def test_tones_zero_probability_magnitude_is_dropped(tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mmselab import ct_verify
 from mmselab.cli import EXIT_NUMERICAL, main
 from mmselab.ct_verify import (
     IllConditioned,
@@ -15,6 +16,7 @@ from mmselab.ct_verify import (
     kalman_mmse,
     mc_scalar_mmse,
 )
+from mmselab.numerics import NumericsError
 from mmselab.scalar_channel import ScalarChannel, conditional_mean, mmse
 from mmselab.sources import (
     builtin_sources,
@@ -51,6 +53,27 @@ def test_kalman_zero_snr_returns_energy():
             setup = KalmanSetup(n, 0.0, steps)
             assert kalman_cmmse(setup) == 1.0
             assert kalman_mmse(setup) == 1.0, (n, steps)
+
+
+@pytest.mark.parametrize("q", [1e-320, 1e-310, 1e-300, 1e-20, 1e-15])
+def test_kalman_tiny_snr_stays_within_the_prior_energy(q):
+    # q dt underflowed to a subnormal (cmmse 0 or 1.0118577075098814 at
+    # q = 1e-320), and at every q up to about 1e-14 one error rounded 1-2
+    # ulp above 1; below N eps/2 both are 1, the correctly rounded value
+    for n in (1, 2, 5, 16):
+        for steps in (2048, 8192):
+            setup = KalmanSetup(n, q, steps)
+            cm, mm = kalman_cmmse(setup), kalman_mmse(setup)
+            assert 0.0 <= mm <= cm <= 1.0, (n, steps)
+            if q < 0.5 * n * np.finfo(float).eps:
+                assert cm == mm == 1.0, (n, steps)
+
+
+def test_kalman_error_past_the_prior_energy_raises(monkeypatch):
+    # a smoothing error three times the prior energy is no rounding
+    monkeypatch.setattr(ct_verify, "_gram", lambda n, steps: 3.0 * _gram(n, steps))
+    with pytest.raises(NumericsError, match=r"Kalman smoothing error of N=2 .* q=1e-06"):
+        kalman_mmse(KalmanSetup(2, 1e-6, 256))
 
 
 @pytest.mark.parametrize("n,q", [(1, 2.0), (2, 2.0), (4, 1.0)])

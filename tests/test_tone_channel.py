@@ -13,7 +13,12 @@ from mmselab.numerics import (
     derivative_at_zero,
     integrate,
 )
-from mmselab.sources import gaussian_pair_amplitude, magnitude_law, unit_amplitude
+from mmselab.sources import (
+    gaussian_pair_amplitude,
+    magnitude_law,
+    parse_amplitude,
+    unit_amplitude,
+)
 from mmselab.tone_channel import (
     ToneModel,
     cmmse_asymptotic,
@@ -25,6 +30,7 @@ from mmselab.tone_channel import (
     mmse_asymptotic,
     mmse_exact,
     tone_divergence,
+    tone_errors,
 )
 
 # frozen 40-digit radial quadrature values (independently matched by a
@@ -285,3 +291,64 @@ def test_one_radial_integral_per_call(monkeypatch, law, x):
     tone_divergence(law, x)
     mmse_exact(ToneModel(n_tones=4, q=4.0 * x, amplitude_law=law))
     assert domains == [law.output_panels(x)[0]] * 2
+
+
+def _recorded(monkeypatch):
+    """The (value, error bound) pairs that ``tone_channel.integrate`` returns, in order."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tone_channel, "integrate", recording)
+    return results
+
+
+@pytest.mark.parametrize(
+    "spec", ["unit", "mags:0.5,0.5,1.3228756555322954,0.5", "mags:0.2,0.8,2.2,0.2"]
+)
+@pytest.mark.parametrize("x", [1e-4, 1e-2, 0.3, 1.0, 16.0, 1e3, 1e6, 1e10])
+def test_tone_errors_match_the_one_quantity_calls(monkeypatch, spec, x):
+    # D and the mmse on one shared panel set against one integral each: the
+    # two estimates of each quantity differ by at most the sum of their
+    # error bounds (plus the rounding of 1 - I and of the cmmse formula)
+    n = 2
+    model = ToneModel(n_tones=n, q=n * x, amplitude_law=parse_amplitude(spec))
+    results = _recorded(monkeypatch)
+    cm, mm = tone_errors(model)
+    cm_one, mm_one = cmmse_exact(model), mmse_exact(model)
+    (fused, fused_err), (_, d_err), (_, i_err) = results
+    assert len(fused) == 2
+    rounding = 4.0 * math.ulp(1.0)
+    assert abs(cm - cm_one) <= 2.0 * n / model.q * (fused_err[0] + d_err) + rounding
+    assert abs(mm - mm_one) <= fused_err[1] + i_err + rounding
+
+
+def test_tone_errors_closed_forms():
+    model = ToneModel(n_tones=3, q=2.0, amplitude_law=gaussian_pair_amplitude())
+    assert tone_errors(model) == (gaussian_cmmse(3, 2.0), 1.0 / (1.0 + 2.0 / 6.0))
+    assert tone_errors(ToneModel(n_tones=3, q=0.0)) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("x, quantity", [(1.0, "divergence"), (100.0, "mmse")])
+def test_tone_errors_nonconvergence_names_the_failing_quantity(x, quantity):
+    # one panel holds neither component; which one is worst depends on x
+    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+    for law in (unit_amplitude(), TWO_MAGNITUDES):
+        with pytest.raises(NonConvergence) as info:
+            tone_errors(ToneModel(n_tones=2, q=2.0 * x, amplitude_law=law), cfg)
+        assert str(info.value).startswith(f"tone {quantity} of law {law.name!r} at q={x!r}: ")
+        assert ("divergence", "mmse")[info.value.__cause__.component] == quantity
+
+
+@pytest.mark.parametrize("q", [5e-324, 1e-320, 1e-310, 1e-300, 1e-30])
+def test_gaussian_cmmse_rounds_to_one_at_tiny_q(q):
+    # (2N/q) ln(1 + q/(2N)) = 1 - q/(4N) + ..., which rounds to 1 here; the
+    # product form gave nan at 5e-324, inf at 1e-320 and 1e-310, and
+    # 0.9999999999999999 at 1e-300
+    for n in (1, 2, 512):
+        assert gaussian_cmmse(n, q) == 1.0
+        for law in (unit_amplitude(), TWO_MAGNITUDES, gaussian_pair_amplitude()):
+            assert tone_errors(ToneModel(n_tones=n, q=q, amplitude_law=law)) == (1.0, 1.0)
+            assert cmmse_exact(ToneModel(n_tones=n, q=q, amplitude_law=law)) == 1.0
