@@ -5,17 +5,15 @@ The estimation errors of the tone sum approach the full signal energy as
 the tone count grows, at rate q/N with coefficients 1/4 (causal) and 1/2
 (non-causal): the Gaussian-amplitude coefficients, because the single-tone
 divergence has D''(0) = 0 for every amplitude law.  This script sweeps N,
-fits the rates, measures D''(0) to show that zero, and shows how fast the
-rescaled divergence remainder dies.
+measures the rates against the exact Gaussian closed forms, measures D''(0)
+to show that zero, and shows how fast the rescaled divergence remainder dies.
 """
 
 from mmselab import (
     DIVERGENCE_QUADRATURE,
     ToneModel,
     cmmse_exact,
-    convergence_rate_fit,
     derivative_at_zero,
-    dn_divergence,
     gaussian_cmmse,
     gaussian_mmse_tone,
     gaussian_pair_amplitude,
@@ -43,19 +41,21 @@ print("=" * 72)
 print("2. N-sweep: deficits scaled by N/q approach 1/4 and 1/2")
 print("=" * 72)
 print(f"  {'N':>4s} {'cmmse':>12s} {'mmse':>12s} {'(1-cmmse)N/q':>14s} {'(1-mmse)N/q':>14s}")
+errors = {}
 for n in (2, 4, 8, 16, 32, 64):
-    m = ToneModel(n_tones=n, q=q)
-    cm, mm = tone_errors(m)  # both from one radial integral
+    cm, mm = errors[n] = tone_errors(ToneModel(n_tones=n, q=q))  # both from one radial integral
     print(f"  {n:4d} {cm:12.8f} {mm:12.8f} {(1-cm)*n/q:14.6f} {(1-mm)*n/q:14.6f}")
 
 d2 = derivative_at_zero(lambda x: tone_divergence(law, x), order=2, cfg=DIVERGENCE_QUADRATURE)
 print(f"\n  measured D''(0) = {d2.value:+.2e} (+- {d2.error_estimate:.0e}); exact value 0")
-for kind in ("cmmse", "mmse"):
-    fit = convergence_rate_fit(law, (4, 8, 16, 32, 64), q, kind)
-    print(
-        f"  fitted {kind} rate coefficient {fit.coefficient:.5f} "
-        f"vs predicted {fit.predicted:.5f} (mismatch {fit.relative_mismatch:.2%})"
-    )
+print("  each error minus its Gaussian closed form is O(1/N^3), so the rate")
+print("  coefficients are the Gaussian 1/4 and 1/2 plus N/q times that excess:")
+for n in (4, 8, 16, 32, 64):
+    cm, mm = errors[n]
+    c_cm = 0.25 + n * (gaussian_cmmse(n, q) - cm) / q
+    c_mm = 0.5 + n * (gaussian_mmse_tone(n, q) - mm) / q
+    print(f"  N={n:3d}  cmmse {c_cm:.6f} (vs 0.25, {c_cm / 0.25 - 1:+.3%})"
+          f"   mmse {c_mm:.6f} (vs 0.5, {c_mm / 0.5 - 1:+.3%})")
 
 print()
 print("=" * 72)
@@ -63,7 +63,7 @@ print("3. Rescaled divergence N*D(q/N): the remainder decays like 1/N^3")
 print("=" * 72)
 prev = None
 for n in (4, 8, 16, 32, 64):
-    val = dn_divergence(ToneModel(n_tones=n, q=q))
+    val = n * tone_divergence(law, q / n)
     note = "" if prev is None else f"   ratio {prev/val:.2f}"
     print(f"  N={n:3d}  N*D(q/N) = {val:.6e}{note}")
     prev = val

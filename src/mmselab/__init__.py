@@ -47,12 +47,9 @@ from .scalar_channel import (
     nongaussianity,
 )
 from .tone_channel import (
-    RateFit,
     ToneModel,
     cmmse_asymptotic,
     cmmse_exact,
-    convergence_rate_fit,
-    dn_divergence,
     gaussian_cmmse,
     gaussian_mmse_tone,
     mmse_asymptotic,

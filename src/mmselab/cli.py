@@ -263,9 +263,12 @@ def _emit(rows: list, args: argparse.Namespace) -> None:
     text = render_rows(rows, args.fmt)
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
 # -- argument parsing --------------------------------------------------------
@@ -328,14 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rows = args.run(args)
+        _emit(args.run(args), args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(rows, args)
     return EXIT_OK
 
 

@@ -4,11 +4,8 @@ The signal is a normalized sum of N orthogonal tones with i.i.d. amplitudes
 (E a^2 = 1) and independent uniform phases, observed through white Gaussian
 noise at total snr q.  In the Fourier coefficient domain each tone
 contributes an independent two-dimensional channel at per-tone snr x = q/N
-with input on a circle of radius |a|, so
-
-    dn_divergence(N, q) = N * D(q/N)
-
-where D is the single-tone divergence from the matched Gaussian
+with input on a circle of radius |a|, so the total output divergence is
+N * D(q/N), where D is the single-tone divergence from the matched Gaussian
 N(0, (1+x/2) I_2).  The output law is rotation invariant with radial
 density f(r) = E_a[ r exp(-(r^2 + x a^2)/2) I_0(r a sqrt(x)) ] (Rician),
 which reduces every single-tone quantity to a one-dimensional radial
@@ -23,7 +20,8 @@ mmse equals 1/(1 + q/(2N)) - 2 D'(q/N), so both errors reduce to the
 Gaussian-amplitude closed forms when D == 0.  Since D(0) = D'(0) = D''(0)
 = 0 for every amplitude law (Guo, Wu, Shamai, Verdu 2011), the large-N
 expansions are those of the Gaussian amplitude: 1 - q/(4N) and
-1 - q/(2N).
+1 - q/(2N).  D'''(0) = 0 as well for phase-uniform tones, so each error
+differs from its Gaussian closed form by O(1/N^3).
 
 D and the mmse share one radial integrand, on the domain and ring
 breakpoints of ``AmplitudeLaw.output_panels``: :func:`tone_errors` takes
@@ -57,7 +55,6 @@ from .sources import AmplitudeLaw, unit_amplitude
 __all__ = [
     "ToneModel",
     "tone_divergence",
-    "dn_divergence",
     "cmmse_exact",
     "mmse_exact",
     "tone_errors",
@@ -65,8 +62,6 @@ __all__ = [
     "gaussian_mmse_tone",
     "cmmse_asymptotic",
     "mmse_asymptotic",
-    "RateFit",
-    "convergence_rate_fit",
 ]
 
 
@@ -159,12 +154,6 @@ def tone_divergence(
     return _radial_integral(("divergence",), law, q, cfg)[0]
 
 
-def dn_divergence(model: ToneModel, cfg: QuadratureConfig = DIVERGENCE_QUADRATURE) -> float:
-    """Total output divergence of the N-tone channel: N * D(q/N)."""
-    n = model.n_tones
-    return n * tone_divergence(model.amplitude_law, model.q / n, cfg)
-
-
 def _cmmse(n: int, q: float, divergence: float) -> float:
     """Causal error from the single-tone divergence D(q/N); 1 at q = 0 (limit value).
 
@@ -235,61 +224,3 @@ def cmmse_asymptotic(n: int, q: float) -> float:
 def mmse_asymptotic(n: int, q: float) -> float:
     """Leading large-N behavior of the non-causal error: 1 - q/(2N)."""
     return 1.0 - 0.5 * q / n
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares fit of the error deficit against q/N."""
-
-    kind: str
-    coefficient: float
-    quadratic: float
-    predicted: float
-    relative_mismatch: float
-    residual_norm: float
-    n_values: tuple
-    deficits: tuple
-
-
-def convergence_rate_fit(
-    law: AmplitudeLaw,
-    n_values,
-    q: float,
-    kind: str,
-    cfg: QuadratureConfig = DIVERGENCE_QUADRATURE,
-) -> RateFit:
-    """Fit (1 - error) ~ c1 (q/N) + c2 (q/N)^2 over an N sweep.
-
-    The quadratic regressor absorbs the known second-order term of the
-    deficit so that ``coefficient`` estimates the leading rate, to be
-    compared against 1/4 (cmmse) or 1/2 (mmse), the rates that D''(0) = 0
-    gives every amplitude law.  The residual norm reports what is left
-    beyond both fitted terms.
-    """
-    n_values = tuple(int(n) for n in n_values)
-    if len(n_values) < 4:
-        raise ValueError("need at least 4 tone counts")
-    if max(n_values) < 10 * min(n_values):
-        raise ValueError("tone counts must span at least one decade")
-    if kind not in ("cmmse", "mmse"):
-        raise ValueError("kind must be 'cmmse' or 'mmse'")
-
-    error_fn = cmmse_exact if kind == "cmmse" else mmse_exact
-    deficits = np.array(
-        [1.0 - error_fn(ToneModel(n_tones=n, q=q, amplitude_law=law), cfg) for n in n_values]
-    )
-    x = q / np.asarray(n_values, dtype=float)
-    design = np.column_stack((x, x * x))
-    coef, _, _, _ = np.linalg.lstsq(design, deficits, rcond=None)
-    resid = deficits - design @ coef
-    predicted = 0.25 if kind == "cmmse" else 0.5
-    return RateFit(
-        kind=kind,
-        coefficient=float(coef[0]),
-        quadratic=float(coef[1]),
-        predicted=float(predicted),
-        relative_mismatch=float(abs(coef[0] - predicted) / abs(predicted)),
-        residual_norm=float(np.linalg.norm(resid)),
-        n_values=n_values,
-        deficits=tuple(float(d) for d in deficits),
-    )

@@ -107,6 +107,17 @@ def test_degenerate_law_exits_2(spec, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["scalar", "--source", "gaussian", "--q-grid", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert str(out) in captured.err
+    assert not out.exists()
+
+
 def test_unreachable_tolerance_exits_3(capsys):
     code = main(["scalar", "--source", "uniform", "--q-grid", "0.1", "--tol", "1e-15"])
     assert code == EXIT_NUMERICAL
