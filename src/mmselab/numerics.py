@@ -330,7 +330,9 @@ def derivative_at_zero(
     exactly through ``value_at_zero``) are first-order accurate with a full
     integer error series, so a Richardson tableau over the ``TABLEAU_LEVELS``
     halving steps ``h, h/2, h/4, ..`` gains one order per column.  The entry
-    with the smallest Ridders-style error indicator is returned.
+    with the smallest error indicator is returned: the larger of its
+    Ridders-style distances to its two parents and twice its distances to
+    the entries that extrapolate further.
 
     The reported ``error_estimate`` is the maximum of the tableau indicator
     and the noise amplification bound ``sum|c_j| * noise(g(j h)) / h^k``
@@ -357,29 +359,35 @@ def derivative_at_zero(
 
     steps = _steps(initial_step)
     tableau: list[list[float]] = []
+    for h in steps:
+        row = [sum(c * values[j * h] for j, c in enumerate(coeffs)) / h**order]
+        for m in range(1, len(tableau) + 1):
+            row.append(row[m - 1] + (row[m - 1] - tableau[-1][m - 1]) / (2.0**m - 1.0))
+        tableau.append(row)
+
+    # Coarse-step rows can agree with each other while still far from the
+    # asymptotic regime, so only the two deepest rows compete for the
+    # returned entry.  Its two parents can agree by accident, so an entry's
+    # error is also at least twice its distance to each entry that is at
+    # least twice as accurate: the deeper columns of its row and, for a
+    # diagonal entry, the same column one step finer.
     best_value = math.nan
     best_err = math.inf
     best_step = steps[0]
-
-    for i, h in enumerate(steps):
-        fd = sum(c * values[j * h] for j, c in enumerate(coeffs)) / h**order
-        row = [fd]
-        prev_row = tableau[-1] if tableau else None
-        if prev_row is not None:
-            for m in range(1, i + 1):
-                factor = 2.0**m
-                extrap = row[m - 1] + (row[m - 1] - prev_row[m - 1]) / (factor - 1.0)
-                row.append(extrap)
-                # Coarse-step rows can agree with each other while still far
-                # from the asymptotic regime, so only the two deepest rows
-                # compete for the returned entry.
-                if i >= TABLEAU_LEVELS - 2:
-                    err = max(abs(row[m] - row[m - 1]), abs(row[m] - prev_row[m - 1]))
-                    if err < best_err:
-                        best_err = err
-                        best_value = row[m]
-                        best_step = h
-        tableau.append(row)
+    for i in range(TABLEAU_LEVELS - 2, TABLEAU_LEVELS):
+        row, prev = tableau[i], tableau[i - 1]
+        for m in range(1, i + 1):
+            v = row[m]
+            err = max(abs(v - row[m - 1]), abs(v - prev[m - 1]))
+            further = row[m + 1 :]
+            if m == i and i + 1 < TABLEAU_LEVELS:
+                further = [tableau[i + 1][m]]
+            if further:
+                err = max(err, 2.0 * (max(further) - v), 2.0 * (v - min(further)))
+            if err < best_err:
+                best_err = err
+                best_value = v
+                best_step = steps[i]
 
     if not math.isfinite(best_err):
         raise StepUnderflow("extrapolation tableau produced no finite error estimate")
