@@ -7,11 +7,11 @@ the tone count grows, at rate q/N with coefficients 1/4 (causal) and 1/2
 divergence has D''(0) = 0 for every amplitude law.  This script sweeps N,
 measures the rates against the exact Gaussian closed forms, measures D''(0)
 to show that zero, and shows how fast the rescaled divergence remainder dies.
+Every tone function takes the per-tone snr x = q/N.
 """
 
 from mmselab import (
     DIVERGENCE_QUADRATURE,
-    ToneModel,
     cmmse_exact,
     derivative_at_zero,
     gaussian_cmmse,
@@ -32,9 +32,8 @@ print("=" * 72)
 d1 = tone_divergence(law, q)
 print(f"  unit amplitude: D(1) = {d1:.12f}")
 print(f"  gaussian pair : D(1) = {tone_divergence(gaussian_pair_amplitude(), q):.1f} (output is exactly Gaussian)")
-model = ToneModel(n_tones=1, q=q)
-print(f"  cmmse_exact(N=1)={cmmse_exact(model):.9f}   gaussian closed form {gaussian_cmmse(1, q):.9f}")
-print(f"  mmse_exact (N=1)={mmse_exact(model):.9f}   gaussian closed form {gaussian_mmse_tone(1, q):.9f}")
+print(f"  cmmse_exact(N=1)={cmmse_exact(law, q):.9f}   gaussian closed form {gaussian_cmmse(q):.9f}")
+print(f"  mmse_exact (N=1)={mmse_exact(law, q):.9f}   gaussian closed form {gaussian_mmse_tone(q):.9f}")
 
 print()
 print("=" * 72)
@@ -43,7 +42,7 @@ print("=" * 72)
 print(f"  {'N':>4s} {'cmmse':>12s} {'mmse':>12s} {'(1-cmmse)N/q':>14s} {'(1-mmse)N/q':>14s}")
 errors = {}
 for n in (2, 4, 8, 16, 32, 64):
-    cm, mm = errors[n] = tone_errors(ToneModel(n_tones=n, q=q))  # both from one radial integral
+    cm, mm = errors[n] = tone_errors(law, q / n)  # both from one radial integral
     print(f"  {n:4d} {cm:12.8f} {mm:12.8f} {(1-cm)*n/q:14.6f} {(1-mm)*n/q:14.6f}")
 
 d2 = derivative_at_zero(lambda x: tone_divergence(law, x), order=2, cfg=DIVERGENCE_QUADRATURE)
@@ -52,8 +51,8 @@ print("  each error minus its Gaussian closed form is O(1/N^3), so the rate")
 print("  coefficients are the Gaussian 1/4 and 1/2 plus N/q times that excess:")
 for n in (4, 8, 16, 32, 64):
     cm, mm = errors[n]
-    c_cm = 0.25 + n * (gaussian_cmmse(n, q) - cm) / q
-    c_mm = 0.5 + n * (gaussian_mmse_tone(n, q) - mm) / q
+    c_cm = 0.25 + n * (gaussian_cmmse(q / n) - cm) / q
+    c_mm = 0.5 + n * (gaussian_mmse_tone(q / n) - mm) / q
     print(f"  N={n:3d}  cmmse {c_cm:.6f} (vs 0.25, {c_cm / 0.25 - 1:+.3%})"
           f"   mmse {c_mm:.6f} (vs 0.5, {c_mm / 0.5 - 1:+.3%})")
 

@@ -7,14 +7,14 @@ information matrices of the 2N static Fourier coefficients: the prior's
 N I plus a running sum of the measurements' outer products, whose inverse
 is the error covariance.  No sampling is involved.
 Halving dt shows clean first-order convergence to the closed forms
-(2N/q) ln(1 + q/(2N)) and 1/(1 + q/(2N)).
+(2/x) ln(1 + x/2) and 1/(1 + x/2) at the per-tone snr x = q/N.
 """
 
 from mmselab import KalmanSetup, gaussian_cmmse, gaussian_mmse_tone, kalman_cmmse, kalman_mmse
 
 for n, q in ((1, 2.0), (2, 2.0), (4, 1.0)):
-    target_cm = gaussian_cmmse(n, q)
-    target_mm = gaussian_mmse_tone(n, q)
+    target_cm = gaussian_cmmse(q / n)
+    target_mm = gaussian_mmse_tone(q / n)
     print("=" * 72)
     print(f"N={n}, q={q}: targets cmmse={target_cm:.9f}  mmse={target_mm:.9f}")
     print("=" * 72)

@@ -47,7 +47,6 @@ from .scalar_channel import (
     nongaussianity,
 )
 from .tone_channel import (
-    ToneModel,
     cmmse_asymptotic,
     cmmse_exact,
     gaussian_cmmse,

@@ -25,7 +25,6 @@ from .numerics import NumericsError, QuadratureConfig, derivative_at_zero  # noq
 from .sources import parse_amplitude, parse_source
 
 __all__ = [
-    "ConfigError",
     "cmd_scalar",
     "cmd_derivatives",
     "cmd_tones",
@@ -39,36 +38,32 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 def parse_q_grid(spec: str) -> tuple:
     """Grid from 'start:stop:count[:lin|log]' or a comma list of values."""
     spec = spec.strip()
     if not spec:
-        raise ConfigError("empty q grid")
+        raise ValueError("empty q grid")
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) == 3:
             parts.append("lin")
         if len(parts) != 4:
-            raise ConfigError(f"bad q-grid spec {spec!r}")
+            raise ValueError(f"bad q-grid spec {spec!r}")
         start, stop, count, mode = float(parts[0]), float(parts[1]), int(parts[2]), parts[3]
         if count < 1:
-            raise ConfigError("q-grid count must be >= 1")
+            raise ValueError("q-grid count must be >= 1")
         if mode == "lin":
             grid = np.linspace(start, stop, count)
         elif mode == "log":
             if start <= 0 or stop <= 0:
-                raise ConfigError("log grid requires positive endpoints")
+                raise ValueError("log grid requires positive endpoints")
             grid = np.geomspace(start, stop, count)
         else:
-            raise ConfigError(f"unknown grid mode {mode!r}")
+            raise ValueError(f"unknown grid mode {mode!r}")
     else:
         grid = np.array([float(t) for t in spec.split(",")])
     if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ConfigError(f"invalid q grid {spec!r}")
+        raise ValueError(f"invalid q grid {spec!r}")
     return tuple(float(v) for v in grid)
 
 
@@ -76,9 +71,9 @@ def parse_n_list(spec: str) -> tuple:
     try:
         values = tuple(int(t) for t in spec.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad n-list {spec!r}") from exc
+        raise ValueError(f"bad n-list {spec!r}") from exc
     if any(n < 1 for n in values):
-        raise ConfigError("n-list entries must be positive integers")
+        raise ValueError("n-list entries must be positive integers")
     return values
 
 
@@ -106,19 +101,19 @@ def _scalar_point(src, q: float, cfg: QuadratureConfig) -> dict:
 
 
 def _tone_point(law, n: int, q: float, cfg: QuadratureConfig) -> dict:
-    # both errors from one radial integral on one panel set
-    model = tone_channel.ToneModel(n_tones=n, q=q, amplitude_law=law)
-    cm, mm = tone_channel.tone_errors(model, cfg)
+    # every tone error is a function of the per-tone snr x; both from one radial integral
+    x = q / n
+    cm, mm = tone_channel.tone_errors(law, x, cfg)
     scale = n / q if q > 0 else math.nan
     return {
         "n": n,
         "q": q,
         "cmmse_exact": cm,
         "mmse_exact": mm,
-        "gaussian_cmmse": tone_channel.gaussian_cmmse(n, q),
-        "gaussian_mmse": tone_channel.gaussian_mmse_tone(n, q),
-        "cmmse_asymptotic": tone_channel.cmmse_asymptotic(n, q),
-        "mmse_asymptotic": tone_channel.mmse_asymptotic(n, q),
+        "gaussian_cmmse": tone_channel.gaussian_cmmse(x),
+        "gaussian_mmse": tone_channel.gaussian_mmse_tone(x),
+        "cmmse_asymptotic": tone_channel.cmmse_asymptotic(x),
+        "mmse_asymptotic": tone_channel.mmse_asymptotic(x),
         "cmmse_deficit_scaled": (1.0 - cm) * scale,
         "mmse_deficit_scaled": (1.0 - mm) * scale,
     }
@@ -161,7 +156,7 @@ def cmd_scalar(args: argparse.Namespace) -> list:
 def cmd_derivatives(args: argparse.Namespace) -> list:
     orders = tuple(int(t) for t in args.orders.split(","))
     if any(o not in (1, 2, 3, 4) for o in orders):
-        raise ConfigError("orders must be a comma list from 1..4")
+        raise ValueError("orders must be a comma list from 1..4")
     src = parse_source(args.source)
     estimates = scalar_channel.divergence_derivatives_at_zero(src, orders)
     exact = scalar_channel.divergence_derivatives_from_moments(src)
@@ -193,12 +188,12 @@ def cmd_kalman(args: argparse.Namespace) -> list:
     q_grid = parse_q_grid(args.q_grid)
     n_list = parse_n_list(args.n_list)
     if args.dt_levels < 2:
-        raise ConfigError("kalman needs at least 2 dt levels to extrapolate")
+        raise ValueError("kalman needs at least 2 dt levels to extrapolate")
     rows = []
     for n in n_list:
         for q in q_grid:
-            target_cm = tone_channel.gaussian_cmmse(n, q)
-            target_mm = tone_channel.gaussian_mmse_tone(n, q)
+            target_cm = tone_channel.gaussian_cmmse(q / n)
+            target_mm = tone_channel.gaussian_mmse_tone(q / n)
             levels = []
             for level in range(args.dt_levels):
                 setup = ct_verify.KalmanSetup(n, q, args.base_steps * 2**level)
@@ -268,7 +263,7 @@ def _emit(rows: list, args: argparse.Namespace) -> None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
 # -- argument parsing --------------------------------------------------------
@@ -332,7 +327,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _emit(args.run(args), args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericsError as exc:

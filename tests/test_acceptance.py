@@ -34,7 +34,6 @@ from mmselab.scalar_channel import (
 )
 from mmselab.sources import builtin_sources, expstd, gaussian, rademacher, uniform, unit_amplitude
 from mmselab.tone_channel import (
-    ToneModel,
     gaussian_cmmse,
     gaussian_mmse_tone,
     tone_divergence,
@@ -154,8 +153,8 @@ def test_criterion_6_kalman_reproduces_closed_forms():
         fine = KalmanSetup(n, q, 8192)
         cm = 2 * kalman_cmmse(fine) - kalman_cmmse(coarse)
         mm = 2 * kalman_mmse(fine) - kalman_mmse(coarse)
-        gap_cm = abs(cm - gaussian_cmmse(n, q))
-        gap_mm = abs(mm - gaussian_mmse_tone(n, q))
+        gap_cm = abs(cm - gaussian_cmmse(q / n))
+        gap_mm = abs(mm - gaussian_mmse_tone(q / n))
         worst = max(worst, gap_cm, gap_mm)
         details.append(f"(N={n},q={q}): {max(gap_cm, gap_mm):.1e}")
     ok = worst <= 1e-3
@@ -177,9 +176,9 @@ def test_criterion_7_convergence_rate_coefficients():
     # coefficient of q/N is the Gaussian one plus N/q times that excess
     rows = []
     for n in (4, 8, 16, 32, 64):
-        cm, mm = tone_errors(ToneModel(n_tones=n, q=q, amplitude_law=law))
-        cm_rate = 0.25 + n * (gaussian_cmmse(n, q) - cm) / q
-        mm_rate = 0.5 + n * (gaussian_mmse_tone(n, q) - mm) / q
+        cm, mm = tone_errors(law, q / n)
+        cm_rate = 0.25 + n * (gaussian_cmmse(q / n) - cm) / q
+        mm_rate = 0.5 + n * (gaussian_mmse_tone(q / n) - mm) / q
         rows.append((n, cm_rate, mm_rate))
     worst = max(max(abs(c / 0.25 - 1.0), abs(m / 0.5 - 1.0)) for _, c, m in rows)
     ok = worst <= 0.03

@@ -67,7 +67,7 @@ def test_tracer_sees_tone_integrals():
     tracer.install()
     try:
         tone_channel.tone_divergence(unit_amplitude(), 1.0)
-        tone_channel.mmse_exact(tone_channel.ToneModel(2, 2.0))
+        tone_channel.mmse_exact(unit_amplitude(), 1.0)
     finally:
         tracer.remove()
     integrals, evals, _ = tracer.stats["site.tone"]

@@ -7,7 +7,6 @@ import pytest
 
 from mmselab import tone_channel
 from mmselab.cli import (
-    ConfigError,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -41,21 +40,21 @@ def test_parse_q_grid():
     log_grid = parse_q_grid("0.001:1:4:log")
     assert log_grid[0] == pytest.approx(0.001)
     assert log_grid[-1] == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_q_grid("")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_q_grid("1:2")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_q_grid("-1,2")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_q_grid("0:1:5:log")
 
 
 def test_parse_n_list():
     assert parse_n_list("4,8,16") == (4, 8, 16)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_n_list("4,zero")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_n_list("0,4")
 
 
@@ -273,6 +272,41 @@ def test_tones_tiny_q_prints_the_prior_energy(tmp_path, q):
     for row in read_csv(out):
         for column in ("cmmse_exact", "mmse_exact", "gaussian_cmmse", "gaussian_mmse"):
             assert row[column] == "1", (row["n"], column)
+
+
+def test_tones_depend_on_the_per_tone_snr_only(tmp_path):
+    # (N, q) = (1, 0.75), (2, 1.5) and (4, 3) share the float q/N = 0.75,
+    # so every error cell of the three rows has the same bytes
+    argv = ["tones", "--n-list", "1,2,4", "--q-grid", "0.75,1.5,3"]
+    code, out = run_cli(argv, tmp_path)
+    assert code == EXIT_OK
+    rows = [r for r in read_csv(out) if float(r["q"]) / int(r["n"]) == 0.75]
+    assert [(r["n"], r["q"]) for r in rows] == [("1", "0.75"), ("2", "1.5"), ("4", "3")]
+    columns = (
+        "cmmse_exact",
+        "mmse_exact",
+        "gaussian_cmmse",
+        "gaussian_mmse",
+        "cmmse_asymptotic",
+        "mmse_asymptotic",
+    )
+    for column in columns:
+        assert len({r[column] for r in rows}) == 1, column
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: (1 - error) N/q cancels to 0 once q/N is below about eps; "
+    "the deficit needs the tone low-snr series",
+)
+@pytest.mark.parametrize("q", ["1e-20", "1e-300"])
+def test_tones_tiny_q_deficits_reach_their_limits(tmp_path, q):
+    # deficit * N/q -> 1/4 (causal) and 1/2 (non-causal) as q -> 0; both print 0
+    code, out = run_cli(["tones", "--n-list", "1,2", "--q-grid", q], tmp_path)
+    assert code == EXIT_OK
+    for row in read_csv(out):
+        assert float(row["cmmse_deficit_scaled"]) == pytest.approx(0.25, abs=1e-6), row["n"]
+        assert float(row["mmse_deficit_scaled"]) == pytest.approx(0.5, abs=1e-6), row["n"]
 
 
 @pytest.mark.parametrize("q", ["5e-324", "1e-320"])

@@ -82,8 +82,8 @@ def test_kalman_matches_closed_forms_after_extrapolation(n, q):
     fine = KalmanSetup(n, q, 8192)
     cm = 2 * kalman_cmmse(fine) - kalman_cmmse(coarse)
     mm = 2 * kalman_mmse(fine) - kalman_mmse(coarse)
-    assert cm == pytest.approx(gaussian_cmmse(n, q), abs=1e-3)
-    assert mm == pytest.approx(gaussian_mmse_tone(n, q), abs=1e-3)
+    assert cm == pytest.approx(gaussian_cmmse(q / n), abs=1e-3)
+    assert mm == pytest.approx(gaussian_mmse_tone(q / n), abs=1e-3)
 
 
 def test_kalman_first_order_in_dt():
@@ -91,7 +91,7 @@ def test_kalman_first_order_in_dt():
     gaps = []
     for steps in (1024, 2048, 4096):
         setup = KalmanSetup(n, q, steps)
-        gaps.append(abs(kalman_cmmse(setup) - gaussian_cmmse(n, q)))
+        gaps.append(abs(kalman_cmmse(setup) - gaussian_cmmse(q / n)))
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.1)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.1)
 
@@ -188,7 +188,7 @@ def test_causal_error_meets_declared_accuracy_below_the_bound(n, q):
 @pytest.mark.parametrize("q", [1e6, 1e12, 1e18])
 def test_kalman_mmse_exact_at_high_snr(n, q):
     # the full-period grid sums h h' dt to I/2 exactly, so J = (N + q/2) I
-    exact = gaussian_mmse_tone(n, q)
+    exact = gaussian_mmse_tone(q / n)
     assert kalman_mmse(KalmanSetup(n, q, 512)) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 

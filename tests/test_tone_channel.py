@@ -20,7 +20,6 @@ from mmselab.sources import (
     unit_amplitude,
 )
 from mmselab.tone_channel import (
-    ToneModel,
     cmmse_asymptotic,
     cmmse_exact,
     gaussian_cmmse,
@@ -39,14 +38,24 @@ TONE_DIV_1 = 0.001989589200950376
 TWO_MAGNITUDES = magnitude_law([0.2, 2.2], [0.8, 0.2])
 
 
-def test_model_validation():
-    with pytest.raises(ValueError):
-        ToneModel(n_tones=0, q=1.0)
-    with pytest.raises(ValueError):
-        ToneModel(n_tones=2, q=-1.0)
-    with pytest.raises(ValueError):
-        ToneModel(n_tones=2, q=math.inf)
-    assert ToneModel(n_tones=3, q=1).q == 1.0
+def test_snr_validation():
+    # every tone function takes the per-tone snr x = q/N alone (the CLI's
+    # parse_n_list checks N >= 1), and rejects a negative or non-finite x
+    law = unit_amplitude()
+    for x in (-1.0, math.inf, math.nan):
+        for call in (
+            lambda: tone_divergence(law, x),
+            lambda: cmmse_exact(law, x),
+            lambda: mmse_exact(law, x),
+            lambda: tone_errors(law, x),
+            lambda: gaussian_cmmse(x),
+            lambda: gaussian_mmse_tone(x),
+            lambda: cmmse_asymptotic(x),
+            lambda: mmse_asymptotic(x),
+        ):
+            with pytest.raises(ValueError):
+                call()
+    assert cmmse_exact(law, 0) == 1.0
 
 
 def test_tone_divergence_trivial_cases():
@@ -132,23 +141,21 @@ def test_remainder_scaling_bounded():
 
 def test_cmmse_exact_examples():
     # gaussian amplitudes: divergence vanishes, closed form remains
-    model = ToneModel(n_tones=1, q=2.0, amplitude_law=gaussian_pair_amplitude())
-    assert cmmse_exact(model) == pytest.approx(math.log(2.0), rel=1e-12)
-    # q -> 0 limit is the signal energy
-    assert cmmse_exact(ToneModel(n_tones=3, q=0.0)) == 1.0
-    # unit amplitude at N=1, q=1: closed form minus the frozen divergence
-    val = cmmse_exact(ToneModel(n_tones=1, q=1.0))
+    assert cmmse_exact(gaussian_pair_amplitude(), 2.0) == pytest.approx(math.log(2.0), rel=1e-12)
+    # x -> 0 limit is the signal energy
+    assert cmmse_exact(unit_amplitude(), 0.0) == 1.0
+    # unit amplitude at x = 1: closed form minus the frozen divergence
+    val = cmmse_exact(unit_amplitude(), 1.0)
     assert val == pytest.approx(2 * math.log(1.5) - 2 * TONE_DIV_1, abs=1e-12)
 
 
 def test_mmse_exact_examples():
-    model = ToneModel(n_tones=1, q=2.0, amplitude_law=gaussian_pair_amplitude())
-    assert mmse_exact(model) == pytest.approx(0.5, rel=1e-12)
-    assert mmse_exact(ToneModel(n_tones=2, q=0.0)) == 1.0
+    assert mmse_exact(gaussian_pair_amplitude(), 2.0) == pytest.approx(0.5, rel=1e-12)
+    assert mmse_exact(unit_amplitude(), 0.0) == 1.0
     # the independent Rician radial integral of bench/reference.py
-    val = mmse_exact(ToneModel(n_tones=1, q=1.0))
+    val = mmse_exact(unit_amplitude(), 1.0)
     assert val == pytest.approx(0.6548511969369811, abs=1e-12)
-    assert val < gaussian_mmse_tone(1, 1.0)
+    assert val < gaussian_mmse_tone(1.0)
 
 
 def _richardson_dprime(law, x):
@@ -166,40 +173,39 @@ def _richardson_dprime(law, x):
 @pytest.mark.parametrize("x", [0.25, 1.0, 4.0])
 def test_mmse_exact_matches_divergence_slope(law, x):
     # I-MMSE: mmse = 1/(1 + x/2) - 2 D'(x) for one tone at snr x
-    mm = mmse_exact(ToneModel(n_tones=1, q=x, amplitude_law=law))
+    mm = mmse_exact(law, x)
     assert (1.0 / (1.0 + 0.5 * x) - mm) / 2.0 == pytest.approx(
         _richardson_dprime(law, x), abs=1e-8
     )
 
 
 def test_gaussian_closed_forms():
-    assert gaussian_cmmse(2, 2.0) == pytest.approx(2 * math.log(1.5), rel=1e-14)
-    assert gaussian_mmse_tone(2, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert gaussian_cmmse(1, 2.0) == pytest.approx(math.log(2.0), rel=1e-14)
-    assert gaussian_mmse_tone(1, 2.0) == pytest.approx(0.5, rel=1e-14)
-    assert gaussian_cmmse(5, 0.0) == 1.0
-    assert gaussian_mmse_tone(5, 0.0) == 1.0
+    assert gaussian_cmmse(1.0) == pytest.approx(2 * math.log(1.5), rel=1e-14)
+    assert gaussian_mmse_tone(1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert gaussian_cmmse(2.0) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert gaussian_mmse_tone(2.0) == pytest.approx(0.5, rel=1e-14)
+    assert gaussian_cmmse(0.0) == 1.0
+    assert gaussian_mmse_tone(0.0) == 1.0
 
 
 def test_asymptotic_formulas():
-    assert cmmse_asymptotic(4, 1.0) == pytest.approx(1 - 0.25 / 4)
-    assert mmse_asymptotic(4, 1.0) == pytest.approx(1 - 0.5 / 4)
-    assert cmmse_asymptotic(10**9, 3.0) == pytest.approx(1.0, abs=1e-8)
+    assert cmmse_asymptotic(1.0 / 4) == pytest.approx(1 - 0.25 / 4)
+    assert mmse_asymptotic(1.0 / 4) == pytest.approx(1 - 0.5 / 4)
+    assert cmmse_asymptotic(3.0 / 10**9) == pytest.approx(1.0, abs=1e-8)
     # D''(0) = 0 for every amplitude law: the Gaussian-amplitude rates
-    assert cmmse_asymptotic(8, 2.0) == 1 - 2.0 / (4 * 8)
-    assert mmse_asymptotic(8, 2.0) == 1 - 2.0 / (2 * 8)
+    assert cmmse_asymptotic(2.0 / 8) == 1 - 2.0 / (4 * 8)
+    assert mmse_asymptotic(2.0 / 8) == 1 - 2.0 / (2 * 8)
 
 
 def test_error_ordering_invariants():
     for law in (unit_amplitude(), gaussian_pair_amplitude(), TWO_MAGNITUDES):
         for n in (1, 3):
             for q in (0.25, 1.0, 4.0):
-                model = ToneModel(n_tones=n, q=q, amplitude_law=law)
-                mm = mmse_exact(model)
-                cm = cmmse_exact(model)
+                mm = mmse_exact(law, q / n)
+                cm = cmmse_exact(law, q / n)
                 assert 0.0 <= mm <= cm <= 1.0 + 1e-12, (law.name, n, q)
-                assert cm <= gaussian_cmmse(n, q) + 1e-12
-                assert mm <= gaussian_mmse_tone(n, q) + 1e-12
+                assert cm <= gaussian_cmmse(q / n) + 1e-12
+                assert mm <= gaussian_mmse_tone(q / n) + 1e-12
 
 
 def test_single_tone_low_snr_is_subquadratic():
@@ -227,8 +233,8 @@ def test_excess_over_closed_forms_decays_like_inverse_cube(spec):
     law, q = parse_amplitude(spec), 1.0
     excess = []
     for n in (8, 16, 32, 64):
-        cm, mm = tone_errors(ToneModel(n_tones=n, q=q, amplitude_law=law))
-        excess.append((gaussian_cmmse(n, q) - cm, gaussian_mmse_tone(n, q) - mm))
+        cm, mm = tone_errors(law, q / n)
+        excess.append((gaussian_cmmse(q / n) - cm, gaussian_mmse_tone(q / n) - mm))
     for coarse, fine in zip(excess, excess[1:]):
         for c, f in zip(coarse, fine):
             assert 6.4 <= c / f <= 10.0, (spec, excess)
@@ -243,7 +249,7 @@ def test_out_of_range_integral_raises(monkeypatch, value):
     with pytest.raises(NumericsError, match=r"tone divergence .* law 'unit' at q=1\.0"):
         tone_divergence(unit_amplitude(), 1.0)
     with pytest.raises(NumericsError, match=r"tone mmse .* law 'unit' at q=1\.0"):
-        mmse_exact(ToneModel(n_tones=2, q=2.0))
+        mmse_exact(unit_amplitude(), 1.0)
 
 
 def test_nonconvergence_names_law_and_snr():
@@ -252,7 +258,7 @@ def test_nonconvergence_names_law_and_snr():
     with pytest.raises(NonConvergence, match=r"tone divergence of law 'unit' at q=1\.0: "):
         tone_divergence(unit_amplitude(), 1.0, cfg)
     with pytest.raises(NonConvergence, match=r"tone mmse of law 'unit' at q=1\.0: "):
-        mmse_exact(ToneModel(n_tones=2, q=2.0), cfg)
+        mmse_exact(unit_amplitude(), 1.0, cfg)
 
 
 @pytest.mark.parametrize("law", [unit_amplitude(), TWO_MAGNITUDES], ids=lambda law: law.name)
@@ -266,7 +272,7 @@ def test_one_radial_integral_per_call(monkeypatch, law, x):
 
     monkeypatch.setattr(tone_channel, "integrate", counted)
     tone_divergence(law, x)
-    mmse_exact(ToneModel(n_tones=4, q=4.0 * x, amplitude_law=law))
+    mmse_exact(law, x)
     assert domains == [law.output_panels(x)[0]] * 2
 
 
@@ -290,27 +296,26 @@ def test_tone_errors_match_the_one_quantity_calls(monkeypatch, spec, x):
     # D and the mmse on one shared panel set against one integral each: the
     # two estimates of each quantity differ by at most the sum of their
     # error bounds (plus the rounding of 1 - I and of the cmmse formula)
-    n = 2
-    model = ToneModel(n_tones=n, q=n * x, amplitude_law=parse_amplitude(spec))
+    law = parse_amplitude(spec)
     results = _recorded(monkeypatch)
-    cm, mm = tone_errors(model)
-    cm_one, mm_one = cmmse_exact(model), mmse_exact(model)
+    cm, mm = tone_errors(law, x)
+    cm_one, mm_one = cmmse_exact(law, x), mmse_exact(law, x)
     (fused, fused_err), (_, d_err), (_, i_err) = results
     assert len(fused) == 2
     rounding = 4.0 * math.ulp(1.0)
-    assert abs(cm - cm_one) <= 2.0 * n / model.q * (fused_err[0] + d_err) + rounding
+    assert abs(cm - cm_one) <= 2.0 / x * (fused_err[0] + d_err) + rounding
     assert abs(mm - mm_one) <= fused_err[1] + i_err + rounding
 
 
 def test_tone_errors_closed_forms():
-    model = ToneModel(n_tones=3, q=2.0, amplitude_law=gaussian_pair_amplitude())
-    assert tone_errors(model) == (gaussian_cmmse(3, 2.0), 1.0 / (1.0 + 2.0 / 6.0))
-    assert tone_errors(ToneModel(n_tones=3, q=0.0)) == (1.0, 1.0)
+    pair = gaussian_pair_amplitude()
+    assert tone_errors(pair, 2.0 / 3) == (gaussian_cmmse(2.0 / 3), 1.0 / (1.0 + 2.0 / 6.0))
+    assert tone_errors(unit_amplitude(), 0.0) == (1.0, 1.0)
     # the Gaussian pair's output is the matched Gaussian: D = 0 bit for bit
     for n in (4, 8, 16, 32, 64):
         for q in (1e-3, 1.0, 2.0, 1e4):
-            model = ToneModel(n_tones=n, q=q, amplitude_law=gaussian_pair_amplitude())
-            assert tone_errors(model) == (gaussian_cmmse(n, q), gaussian_mmse_tone(n, q)), (n, q)
+            x = q / n
+            assert tone_errors(pair, x) == (gaussian_cmmse(x), gaussian_mmse_tone(x)), (n, q)
 
 
 @pytest.mark.parametrize("x, quantity", [(1.0, "divergence"), (100.0, "mmse")])
@@ -319,7 +324,7 @@ def test_tone_errors_nonconvergence_names_the_failing_quantity(x, quantity):
     cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
     for law in (unit_amplitude(), TWO_MAGNITUDES):
         with pytest.raises(NonConvergence) as info:
-            tone_errors(ToneModel(n_tones=2, q=2.0 * x, amplitude_law=law), cfg)
+            tone_errors(law, x, cfg)
         assert str(info.value).startswith(f"tone {quantity} of law {law.name!r} at q={x!r}: ")
         assert ("divergence", "mmse")[info.value.__cause__.component] == quantity
 
@@ -330,7 +335,7 @@ def test_gaussian_cmmse_rounds_to_one_at_tiny_q(q):
     # product form gave nan at 5e-324, inf at 1e-320 and 1e-310, and
     # 0.9999999999999999 at 1e-300
     for n in (1, 2, 512):
-        assert gaussian_cmmse(n, q) == 1.0
+        assert gaussian_cmmse(q / n) == 1.0
         for law in (unit_amplitude(), TWO_MAGNITUDES, gaussian_pair_amplitude()):
-            assert tone_errors(ToneModel(n_tones=n, q=q, amplitude_law=law)) == (1.0, 1.0)
-            assert cmmse_exact(ToneModel(n_tones=n, q=q, amplitude_law=law)) == 1.0
+            assert tone_errors(law, q / n) == (1.0, 1.0)
+            assert cmmse_exact(law, q / n) == 1.0
