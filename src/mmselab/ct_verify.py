@@ -6,17 +6,22 @@
   The causal error is a sum over innovations: each chunk of steps takes
   the variances of its measurement innovations from one Cholesky
   factorization, given the information matrix at the chunk's start.  The
-  non-causal error is one solve with the final information matrix, whose
-  q-free part B'B is cached per (N, steps); neither error is cached, as a
-  caller asks for each setup once.  Error
-  covariances of a linear-Gaussian model are data independent, so no
-  sampling is involved, and because the state is static the smoothing
-  covariance equals the final filtering covariance.
+  chunks run in groups, each building only its own basis rows, so memory
+  is bounded per group whatever the number of steps; the information sum
+  carries from group to group in the order of one cumulative sum, so the
+  grouping leaves every bit of the value.  The non-causal error is one
+  solve with the final information matrix, whose q-free part B'B is cached
+  per (N, steps); neither error is cached, as a caller asks for each setup
+  once.  Error covariances of a linear-Gaussian model are data independent,
+  so no sampling is involved, and because the state is static the
+  smoothing covariance equals the final filtering covariance.
 - :func:`mc_scalar_mmse`: seeded Monte Carlo estimate of the scalar-channel
   error E[(X - E[X|Y])^2] with its standard error, from the kernels the
   quadrature uses: a check of the y-integration and panels, not the kernels.
-  It holds one float64 per draw plus one block of temporaries, and gives
-  the bits of drawing and reducing full arrays.
+  X and W come from two independent streams spawned from the seed and are
+  drawn one block at a time; each block's mean and sum of squared
+  deviations merge into the running ones, so memory is one block of
+  temporaries whatever the number of draws.
 
 The N tones have frequencies 1..N on the horizon ``HORIZON`` = 2 pi, which
 makes them orthogonal; neither enters the error formulas.
@@ -49,9 +54,10 @@ HORIZON = 2.0 * math.pi
 
 # Steps per chunk of the innovations form.  The (chunks, B, B) innovation
 # covariances hold B = 32 doubles per step, as many as the basis rows at
-# N = 16: 2 MB at 8192 steps, where one (2N, 2N) information matrix per
-# step would need 64 MB.  Of 16-96, 32 was the fastest for N = 1..16 at
-# 2048-8192 steps.
+# N = 16.  Of 16-96, 32 was the fastest for N = 1..16 at 2048-8192 steps.
+# The chunks run in groups of _group_chunks(N), so that each per-chunk
+# stack of a group, (2N)^2, 2N B or B^2 doubles a chunk, holds at most
+# _BLOCK_POINTS doubles (256 KB): a group is 1024 steps up to N = 16.
 _CHUNK_STEPS = 32
 # Declared relative accuracy of the causal error (see kalman_cmmse).
 _CAUSAL_REL_TOL = 1e-6
@@ -99,20 +105,28 @@ class McEstimate:
     sample_count: int
 
 
-def _basis_matrix(setup: KalmanSetup, n_rows: int | None = None) -> np.ndarray:
+def _basis_matrix(setup: KalmanSetup, first: int = 0, n_rows: int | None = None) -> np.ndarray:
     """Rows h(t_j) = sqrt(1/T)[cos(w_k t_j).., sin(w_k t_j)..] at left endpoints.
 
-    With ``n_rows`` the steps are followed by zero rows up to that count.
+    The rows of steps ``first``, ``first`` + 1, .., all steps by default;
+    with ``n_rows``, that many, zero past the last step.
     """
     n, steps = setup.n_tones, setup.n_steps
-    t = np.arange(steps) * setup.dt
+    if n_rows is None:
+        n_rows = steps - first
+    t = np.arange(first, min(first + n_rows, steps)) * setup.dt
     omega = 2.0 * math.pi * np.arange(1, n + 1) / HORIZON
     phases = np.outer(t, omega)
-    rows = np.zeros((steps if n_rows is None else n_rows, 2 * n))
-    rows[:steps, :n] = np.cos(phases)
-    rows[:steps, n:] = np.sin(phases)
+    rows = np.zeros((n_rows, 2 * n))
+    rows[: t.size, :n] = np.cos(phases)
+    rows[: t.size, n:] = np.sin(phases)
     rows /= math.sqrt(HORIZON)
     return rows
+
+
+def _group_chunks(n_tones: int) -> int:
+    """Chunks per group of the innovations form (see ``_CHUNK_STEPS``)."""
+    return max(1, _BLOCK_POINTS // max(2 * n_tones, _CHUNK_STEPS) ** 2)
 
 
 def _prior_rounds(setup: KalmanSetup) -> bool:
@@ -128,7 +142,7 @@ def _in_unit_range(quantity: str, setup: KalmanSetup, value: float) -> float:
     """``value`` held to [0, 1], the prior energy, within its rounding bound (1 + q) eps."""
     return _in_range(
         f"Kalman {quantity} of N={setup.n_tones}", value, (1.0 + setup.q) * _EPS,
-        "gaussian", setup.q, 1.0,
+        "gaussian", f"q={setup.q!r}", 1.0,
     )
 
 
@@ -147,9 +161,10 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
     S = I + G, G = q dt H P H', and in its Cholesky factor S = L L' the
     pivot L_kk^2 is 1 + x_k.  Where L_kk^2 > 2, x_k = L_kk^2 - 1; elsewhere
     x_k = G_kk - sum_{m<k} L_km^2, which keeps relative accuracy at low q.
-    Every chunk is factored in one batch, with J_s from a cumulative sum of
-    the chunks' H'H; a partial last chunk is padded with zero rows, whose
-    x is 0.
+    The chunks are factored in batches of ``_group_chunks(N)``, each
+    with the J_s of its chunks from a cumulative sum of their H'H, whose
+    first row is the raw sum carried in from the steps before the group;
+    a partial last chunk is padded with zero rows, whose x is 0.
 
     Rounding: J_s has eigenvalues in [N, N (1 + q)] and G_kk <= q / steps,
     so the relative error is of order (1 + q) eps.  Past ``_CAUSAL_REL_TOL``
@@ -167,35 +182,34 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
             f"exceeds {_CAUSAL_REL_TOL:.0e}"
         )
     b = _CHUNK_STEPS
-    rows = _basis_matrix(setup, -(-setup.n_steps // b) * b).reshape(-1, b, 2 * n)
-    cols = rows.transpose(0, 2, 1)
-    # J_s: the chunks' H'H summed up to each chunk's start (the last chunk's
-    # own H'H enters no J_s), scaled and added to the prior's N I
-    info = np.empty((len(rows), 2 * n, 2 * n))
-    info[0] = 0.0
-    np.matmul(cols[:-1], rows[:-1], out=info[1:])
-    np.cumsum(info[1:], axis=0, out=info[1:])
-    info *= q * dt
-    info += n * np.eye(2 * n)
-    # each per-chunk stack is dropped once used, so that at most three are
-    # held at a time
-    factor = np.linalg.cholesky(info)
-    del info
-    inverse = np.linalg.inv(factor)
-    del factor
-    w = inverse @ cols
-    del inverse, rows, cols
-    g = w.transpose(0, 2, 1) @ w
-    del w
-    g *= q * dt
-    g_diag = np.diagonal(g, axis1=1, axis2=2).copy()
+    chunks = -(-setup.n_steps // b)
+    group = _group_chunks(n)
     diag = np.arange(b)
-    g[:, diag, diag] += 1.0
-    chol = np.linalg.cholesky(g)
-    del g
-    pivots = np.square(chol[:, diag, diag])
-    chol[:, diag, diag] = 0.0
-    x = np.where(pivots > 2.0, pivots - 1.0, g_diag - np.einsum("cij,cij->ci", chol, chol))
+    x = np.empty((chunks, b))
+    carry = np.zeros((2 * n, 2 * n))  # sum of h h' over the steps before the group
+    for first in range(0, chunks, group):
+        rows = _basis_matrix(setup, first * b, min(group, chunks - first) * b).reshape(-1, b, 2 * n)
+        cols = rows.transpose(0, 2, 1)
+        # J_s: the H'H summed up to each chunk's start, scaled and added to
+        # the prior's N I; the last row, which takes the group's last chunk
+        # too, is carried to the next group
+        info = np.empty((len(rows) + 1, 2 * n, 2 * n))
+        info[0] = carry
+        np.matmul(cols, rows, out=info[1:])
+        np.cumsum(info, axis=0, out=info)
+        info, carry = info[:-1], info[-1]
+        info *= q * dt
+        info += n * np.eye(2 * n)
+        w = np.linalg.inv(np.linalg.cholesky(info)) @ cols
+        g = w.transpose(0, 2, 1) @ w
+        g *= q * dt
+        g_diag = np.diagonal(g, axis1=1, axis2=2).copy()
+        g[:, diag, diag] += 1.0
+        chol = np.linalg.cholesky(g)
+        pivots = np.square(chol[:, diag, diag])
+        chol[:, diag, diag] = 0.0
+        lower = np.einsum("cij,cij->ci", chol, chol)
+        x[first : first + len(rows)] = np.where(pivots > 2.0, pivots - 1.0, g_diag - lower)
     return _in_unit_range("causal error", setup, float(np.sum(x / (1.0 + x))) / q)
 
 
@@ -228,26 +242,29 @@ def kalman_mmse(setup: KalmanSetup) -> float:
 def mc_scalar_mmse(src: ScalarSource, q: float, cfg: McConfig) -> McEstimate:
     """Monte Carlo scalar-channel error over paired draws of (X, W).
 
-    The draws of X come first, then those of W, as one long draw of each.
-    Only X is held in full (8 bytes per draw): W is drawn block by block,
-    which continues the generator's stream exactly, and each block's
-    squared errors overwrite its X.  The mean and standard error are those
-    of ``np.mean`` and ``np.std(ddof=1)`` bit for bit (the same pairwise
-    sums), formed in place.
+    X and W come from two independent streams, ``spawn(2)`` of the seeded
+    generator, one block of ``_BLOCK_POINTS`` draws at a time.  Each block's
+    squared errors give its mean and sum of squared deviations (two-pass),
+    which merge into the running pair by Chan's pairwise update, so only
+    one block is held whatever ``sample_count``.
     """
-    rng = np.random.default_rng(cfg.seed)
+    x_rng, w_rng = np.random.default_rng(cfg.seed).spawn(2)
     n = cfg.sample_count
-    x = src.sample(rng, n)
     ch, sq = ScalarChannel(src, q), math.sqrt(q)
-    noise = np.empty(min(n, _BLOCK_POINTS))
+    mean, m2 = 0.0, 0.0
     for start in range(0, n, _BLOCK_POINTS):
-        block = x[start : start + _BLOCK_POINTS]
-        y = rng.standard_normal(out=noise[: block.size])
-        y += sq * block
-        block -= conditional_mean(ch, y)
-        np.square(block, out=block)
-    mean = x.sum() / n
-    x -= mean
-    np.square(x, out=x)
-    std_error = math.sqrt(x.sum() / (n - 1)) / math.sqrt(n)
+        size = min(_BLOCK_POINTS, n - start)
+        err = src.sample(x_rng, size)
+        y = w_rng.standard_normal(size)
+        y += sq * err
+        err -= conditional_mean(ch, y)
+        np.square(err, out=err)
+        block_mean = err.sum() / size
+        err -= block_mean
+        np.square(err, out=err)
+        # merged with the first start draws: Chan's update
+        delta = block_mean - mean
+        mean += delta * size / (start + size)
+        m2 += err.sum() + delta * delta * start * size / (start + size)
+    std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return McEstimate(value=float(mean), std_error=std_error, sample_count=n)

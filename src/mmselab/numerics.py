@@ -136,8 +136,10 @@ def _check_snr(q: float) -> float:
     return q
 
 
-def _in_range(quantity: str, value: float, err: float, law: str, q: float, hi: float) -> float:
+def _in_range(quantity: str, value: float, err: float, law: str, snr: str, hi: float) -> float:
     """``value``, checked to lie in [0, hi] within its error bound ``err`` plus 4 ulp.
+
+    ``snr`` names the snr in a failure, as "q=2.0" or, per tone, "x=1.0".
 
     The channel quantities are bounded for every law (an mmse by the
     Gaussian input's error, a divergence by the entropy gap of the noise),
@@ -147,7 +149,7 @@ def _in_range(quantity: str, value: float, err: float, law: str, q: float, hi: f
     slack = err + 4.0 * math.ulp(max(hi, 1.0))
     if not -slack <= value <= hi + slack:
         raise NumericsError(
-            f"{quantity} {value:.17g} of law {law!r} at q={q!r} lies outside"
+            f"{quantity} {value:.17g} of law {law!r} at {snr} lies outside"
             f" [0, {hi:.17g}] by more than its error bound {err:.3e}"
         )
     return min(max(0.0, value), hi)

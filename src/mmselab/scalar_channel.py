@@ -153,9 +153,9 @@ def _channel_integrals(src: ScalarSource, parts, cfg: QuadratureConfig) -> list:
     for i, v, e in zip(live, np.atleast_1d(est), np.atleast_1d(err)):
         quantity, q = parts[i]
         if quantity == "mmse":
-            values[i] = _in_range("mmse", 1.0 - v, e, src.name, q, gaussian_mmse(q))
+            values[i] = _in_range("mmse", 1.0 - v, e, src.name, f"q={q!r}", gaussian_mmse(q))
         else:
-            values[i] = _in_range("nongaussianity", v, e, src.name, q, 0.5 * math.log1p(q))
+            values[i] = _in_range("nongaussianity", v, e, src.name, f"q={q!r}", 0.5 * math.log1p(q))
     return values
 
 

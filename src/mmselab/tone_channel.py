@@ -115,13 +115,13 @@ def _radial_integral(
         est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
     except NonConvergence as exc:
         quantity = quantities[exc.component]
-        raise NonConvergence(f"tone {quantity} of law {law.name!r} at q={x!r}: {exc}") from exc
+        raise NonConvergence(f"tone {quantity} of law {law.name!r} at x={x!r}: {exc}") from exc
     values = []
     for quantity, v, e in zip(quantities, np.ravel(est).tolist(), np.ravel(err).tolist()):
         if quantity == "mmse":
-            values.append(_in_range("tone mmse", 1.0 - v, e, law.name, x, mmse_bound))
+            values.append(_in_range("tone mmse", 1.0 - v, e, law.name, f"x={x!r}", mmse_bound))
         else:
-            values.append(_in_range("tone divergence", v, e, law.name, x, math.log(half_var)))
+            values.append(_in_range("tone divergence", v, e, law.name, f"x={x!r}", math.log(half_var)))
     return tuple(values)
 
 

@@ -19,6 +19,7 @@ from mmselab.ct_verify import (
 from mmselab.numerics import NumericsError
 from mmselab.scalar_channel import ScalarChannel, conditional_mean, mmse
 from mmselab.sources import (
+    _BLOCK_POINTS,
     builtin_sources,
     expstd,
     from_atoms,
@@ -238,17 +239,27 @@ _STREAM_LAWS = (
 @pytest.mark.parametrize("q", [0.0, 0.5, 8.0])
 @pytest.mark.parametrize("src", _STREAM_LAWS, ids=lambda src: src.name)
 def test_mc_estimate_is_the_full_array_estimate_bit_for_bit(src, q):
-    # all of X, then all of W, each as one long draw, and numpy's own mean
-    # and std: the streamed estimator gives the same bits, partial last
+    # X and W from the two streams spawned from the seed, one block at a
+    # time, each block's numpy mean and squared deviations merged by Chan's
+    # update: the streamed estimator gives the same bits, partial last
     # block included
     n = 10**5 + 7
-    rng = np.random.default_rng(123)
-    x = src.sample(rng, n)
-    w = rng.standard_normal(n)
-    sq_err = np.square(x - conditional_mean(ScalarChannel(src, q), w + math.sqrt(q) * x))
+    x_rng, w_rng = np.random.default_rng(123).spawn(2)
+    ch = ScalarChannel(src, q)
+    mean, m2 = 0.0, 0.0
+    for start in range(0, n, _BLOCK_POINTS):
+        size = min(_BLOCK_POINTS, n - start)
+        x = src.sample(x_rng, size)
+        w = w_rng.standard_normal(size)
+        sq_err = np.square(x - conditional_mean(ch, w + math.sqrt(q) * x))
+        block_mean = np.mean(sq_err)
+        delta = block_mean - mean
+        mean += delta * size / (start + size)
+        m2 += np.sum(np.square(sq_err - block_mean)) + delta * delta * start * size / (start + size)
+    assert n % _BLOCK_POINTS
     est = mc_scalar_mmse(src, q, McConfig(sample_count=n, seed=123))
-    assert est.value == float(np.mean(sq_err))
-    assert est.std_error == float(np.std(sq_err, ddof=1) / math.sqrt(n))
+    assert est.value == float(mean)
+    assert est.std_error == math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     assert est.sample_count == n
 
 
@@ -262,17 +273,39 @@ def _traced_peak(f) -> int:
         tracemalloc.stop()
 
 
-def test_oracles_hold_one_float_per_draw():
-    # the Monte Carlo oracle keeps one float64 per draw plus a block of
-    # temporaries, and the Kalman oracle at N = 16 and 8192 steps less
+def test_oracles_hold_bounded_memory():
+    # the Monte Carlo oracle holds one block whatever the number of draws,
+    # and the Kalman oracle one group of chunks whatever the number of steps;
+    # scipy.special is imported first, as the uniform and exponential
+    # kernels import it on their first call
+    import scipy.special  # noqa: F401
+
+    mb = 2**20
     n = 10**6
-    bound = 1.5 * 8 * n
     for src in (rademacher(), uniform(), expstd()):
         sample_peak = _traced_peak(lambda: src.sample(np.random.default_rng(0), n))
-        assert sample_peak <= bound, src.name
-        mc_peak = _traced_peak(lambda: mc_scalar_mmse(src, 2.0, McConfig(sample_count=n)))
-        assert mc_peak <= bound, src.name
-    assert _traced_peak(lambda: kalman_cmmse(KalmanSetup(16, 3.0, 8192))) < bound
+        assert sample_peak <= 1.5 * 8 * n, src.name
+        peaks = [
+            _traced_peak(lambda: mc_scalar_mmse(src, 2.0, McConfig(sample_count=count)))
+            for count in (n, 4 * n)
+        ]
+        assert peaks[0] < 4 * mb, src.name
+        assert abs(peaks[1] - peaks[0]) < 0.01 * peaks[0], src.name
+    for n_tones, steps in ((16, 8192), (16, 32768), (64, 8192)):
+        assert _traced_peak(lambda: kalman_cmmse(KalmanSetup(n_tones, 3.0, steps))) < 4 * mb
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("steps", [333, 2048, 8192])
+def test_kalman_groups_keep_the_bits(monkeypatch, n, steps):
+    # the information sum carried from group to group adds in the order of
+    # one cumulative sum over all chunks, so one chunk per group and all
+    # chunks in one group give the same bits (333 steps: a partial last chunk)
+    setups = [KalmanSetup(n, q, steps) for q in (0.7, 3.3, 1e5)]
+    values = [kalman_cmmse(setup) for setup in setups]
+    for group in (1, -(-steps // ct_verify._CHUNK_STEPS)):
+        monkeypatch.setattr(ct_verify, "_group_chunks", lambda n_tones: group)
+        assert [kalman_cmmse(setup).hex() for setup in setups] == [v.hex() for v in values]
 
 
 def test_gram_is_built_once_per_tone_count_and_steps():

@@ -246,18 +246,18 @@ def test_out_of_range_integral_raises(monkeypatch, value):
     # [0, 2/3]; value puts D = value and mmse = 1 - value far outside both
     fake = lambda *args, **kwargs: ValueWithError(value, 1e-12)  # noqa: E731
     monkeypatch.setattr(tone_channel, "integrate", fake)
-    with pytest.raises(NumericsError, match=r"tone divergence .* law 'unit' at q=1\.0"):
+    with pytest.raises(NumericsError, match=r"tone divergence .* law 'unit' at x=1\.0"):
         tone_divergence(unit_amplitude(), 1.0)
-    with pytest.raises(NumericsError, match=r"tone mmse .* law 'unit' at q=1\.0"):
+    with pytest.raises(NumericsError, match=r"tone mmse .* law 'unit' at x=1\.0"):
         mmse_exact(unit_amplitude(), 1.0)
 
 
 def test_nonconvergence_names_law_and_snr():
     # one panel cannot hold the rings' breakpoints, so both integrals fail
     cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
-    with pytest.raises(NonConvergence, match=r"tone divergence of law 'unit' at q=1\.0: "):
+    with pytest.raises(NonConvergence, match=r"tone divergence of law 'unit' at x=1\.0: "):
         tone_divergence(unit_amplitude(), 1.0, cfg)
-    with pytest.raises(NonConvergence, match=r"tone mmse of law 'unit' at q=1\.0: "):
+    with pytest.raises(NonConvergence, match=r"tone mmse of law 'unit' at x=1\.0: "):
         mmse_exact(unit_amplitude(), 1.0, cfg)
 
 
@@ -325,7 +325,7 @@ def test_tone_errors_nonconvergence_names_the_failing_quantity(x, quantity):
     for law in (unit_amplitude(), TWO_MAGNITUDES):
         with pytest.raises(NonConvergence) as info:
             tone_errors(law, x, cfg)
-        assert str(info.value).startswith(f"tone {quantity} of law {law.name!r} at q={x!r}: ")
+        assert str(info.value).startswith(f"tone {quantity} of law {law.name!r} at x={x!r}: ")
         assert ("divergence", "mmse")[info.value.__cause__.component] == quantity
 
 
