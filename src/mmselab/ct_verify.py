@@ -59,6 +59,12 @@ HORIZON = 2.0 * math.pi
 # stack of a group, (2N)^2, 2N B or B^2 doubles a chunk, holds at most
 # _BLOCK_POINTS doubles (256 KB): a group is 1024 steps up to N = 16.
 _CHUNK_STEPS = 32
+# Draws per Monte Carlo block.  Each array of a block, 64 KB, is under
+# glibc's default mmap threshold of 128 KB, so the kernels' temporaries
+# reuse heap memory from block to block.  Blocks of 2**15 draws (256 KB
+# arrays) took about 16 000 minor page faults per 10**6 draws, mapping and
+# faulting in those temporaries afresh each block.
+_MC_BLOCK = 2**13
 # Declared relative accuracy of the causal error (see kalman_cmmse).
 _CAUSAL_REL_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
@@ -242,20 +248,22 @@ def kalman_mmse(setup: KalmanSetup) -> float:
 def mc_scalar_mmse(src: ScalarSource, q: float, cfg: McConfig) -> McEstimate:
     """Monte Carlo scalar-channel error over paired draws of (X, W).
 
-    X and W come from two independent streams, ``spawn(2)`` of the seeded
-    generator, one block of ``_BLOCK_POINTS`` draws at a time.  Each block's
+    X and W come from two independent streams, the two generators of
+    ``SeedSequence(seed).spawn(2)``, one block of ``_MC_BLOCK`` draws at a
+    time; W goes into one buffer reused by every block.  Each block's
     squared errors give its mean and sum of squared deviations (two-pass),
     which merge into the running pair by Chan's pairwise update, so only
     one block is held whatever ``sample_count``.
     """
-    x_rng, w_rng = np.random.default_rng(cfg.seed).spawn(2)
+    x_rng, w_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
     n = cfg.sample_count
     ch, sq = ScalarChannel(src, q), math.sqrt(q)
+    noise = np.empty(min(n, _MC_BLOCK))
     mean, m2 = 0.0, 0.0
-    for start in range(0, n, _BLOCK_POINTS):
-        size = min(_BLOCK_POINTS, n - start)
+    for start in range(0, n, _MC_BLOCK):
+        size = min(_MC_BLOCK, n - start)
         err = src.sample(x_rng, size)
-        y = w_rng.standard_normal(size)
+        y = w_rng.standard_normal(out=noise[:size])
         y += sq * err
         err -= conditional_mean(ch, y)
         np.square(err, out=err)

@@ -10,6 +10,7 @@ from mmselab.ct_verify import (
     IllConditioned,
     KalmanSetup,
     McConfig,
+    _MC_BLOCK,
     _basis_matrix,
     _gram,
     kalman_cmmse,
@@ -19,7 +20,6 @@ from mmselab.ct_verify import (
 from mmselab.numerics import NumericsError
 from mmselab.scalar_channel import ScalarChannel, conditional_mean, mmse
 from mmselab.sources import (
-    _BLOCK_POINTS,
     builtin_sources,
     expstd,
     from_atoms,
@@ -242,25 +242,31 @@ def test_mc_estimate_is_the_full_array_estimate_bit_for_bit(src, q):
     # X and W from the two streams spawned from the seed, one block at a
     # time, each block's numpy mean and squared deviations merged by Chan's
     # update: the streamed estimator gives the same bits, partial last
-    # block included
+    # block included, and to a few ulp the mean and standard error of the
+    # whole array of squared errors
     n = 10**5 + 7
-    x_rng, w_rng = np.random.default_rng(123).spawn(2)
+    x_rng, w_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(123).spawn(2))
     ch = ScalarChannel(src, q)
     mean, m2 = 0.0, 0.0
-    for start in range(0, n, _BLOCK_POINTS):
-        size = min(_BLOCK_POINTS, n - start)
+    blocks = []
+    for start in range(0, n, _MC_BLOCK):
+        size = min(_MC_BLOCK, n - start)
         x = src.sample(x_rng, size)
         w = w_rng.standard_normal(size)
         sq_err = np.square(x - conditional_mean(ch, w + math.sqrt(q) * x))
+        blocks.append(sq_err)
         block_mean = np.mean(sq_err)
         delta = block_mean - mean
         mean += delta * size / (start + size)
         m2 += np.sum(np.square(sq_err - block_mean)) + delta * delta * start * size / (start + size)
-    assert n % _BLOCK_POINTS
+    assert n % _MC_BLOCK
     est = mc_scalar_mmse(src, q, McConfig(sample_count=n, seed=123))
     assert est.value == float(mean)
     assert est.std_error == math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     assert est.sample_count == n
+    full = np.concatenate(blocks)
+    assert est.value == pytest.approx(np.mean(full), rel=1e-13, abs=1e-300)
+    assert est.std_error == pytest.approx(np.std(full, ddof=1) / math.sqrt(n), rel=1e-13, abs=1e-300)
 
 
 def _traced_peak(f) -> int:
