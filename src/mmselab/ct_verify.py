@@ -37,7 +37,7 @@ import numpy as np
 
 from .numerics import NumericsError, _check_snr, _in_range
 from .scalar_channel import ScalarChannel, conditional_mean
-from .sources import _BLOCK_POINTS, ScalarSource
+from .sources import ScalarSource
 
 __all__ = [
     "HORIZON",
@@ -57,8 +57,9 @@ HORIZON = 2.0 * math.pi
 # N = 16.  Of 16-96, 32 was the fastest for N = 1..16 at 2048-8192 steps.
 # The chunks run in groups of _group_chunks(N), so that each per-chunk
 # stack of a group, (2N)^2, 2N B or B^2 doubles a chunk, holds at most
-# _BLOCK_POINTS doubles (256 KB): a group is 1024 steps up to N = 16.
+# _GROUP_DOUBLES doubles (256 KB): a group is 1024 steps up to N = 16.
 _CHUNK_STEPS = 32
+_GROUP_DOUBLES = 2**15
 # Draws per Monte Carlo block.  A block's temporaries, about 0.5 MB in
 # 64 KB arrays, are reused from the heap block after block.  At 2**15
 # draws, about 2 MB, glibc gave them back to the system after each block
@@ -133,7 +134,7 @@ def _basis_matrix(setup: KalmanSetup, first: int = 0, n_rows: int | None = None)
 
 def _group_chunks(n_tones: int) -> int:
     """Chunks per group of the innovations form (see ``_CHUNK_STEPS``)."""
-    return max(1, _BLOCK_POINTS // max(2 * n_tones, _CHUNK_STEPS) ** 2)
+    return max(1, _GROUP_DOUBLES // max(2 * n_tones, _CHUNK_STEPS) ** 2)
 
 
 def _prior_rounds(setup: KalmanSetup) -> bool:

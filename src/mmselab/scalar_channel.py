@@ -46,7 +46,7 @@ from .numerics import (
     integrate,
     kl_integrand_from_logs,
 )
-from .sources import _BLOCK_POINTS, ScalarSource
+from .sources import ScalarSource
 
 __all__ = [
     "ScalarChannel",
@@ -83,16 +83,12 @@ def conditional_mean(ch: ScalarChannel, y):
     """Bayes estimate E[X | Y = y] (vectorized); 0 where the density underflows.
 
     The ratio cross / p of the output and cross densities, both from one
-    kernel evaluation per block of ``_BLOCK_POINTS``; the built-in kernels
-    work point by point, so the blocks change no bit of their result.
+    kernel evaluation over all of y.  Its temporaries grow with y.size:
+    bulk callers pass y in blocks, as the Monte Carlo oracle does.
     """
     y = np.asarray(y, dtype=float)
-    flat = y.ravel()
-    out = np.zeros(flat.size)
-    for start in range(0, flat.size, _BLOCK_POINTS):
-        block = flat[start : start + _BLOCK_POINTS]
-        p, a = ch.source._kernel(block, ch.q, cross=True)
-        np.divide(a, p, out=out[start : start + _BLOCK_POINTS], where=p > _P_FLOOR)
+    p, a = ch.source._kernel(y.ravel(), ch.q, cross=True)
+    out = np.divide(a, p, out=np.zeros_like(p), where=p > _P_FLOOR)
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 

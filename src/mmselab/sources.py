@@ -18,6 +18,10 @@ scipy.special is imported inside the two kernels that evaluate it, the
 ``uniform`` (``ndtr``) and ``exponential`` (``erfcx``, ``ndtr``) branches,
 not at module level: importing this module, and every other law, loads
 numpy alone.
+
+The sampler and the kernels work in one pass over their input, with
+temporaries in proportion to it; a bulk caller passes blocks, as the
+Monte Carlo oracle of :mod:`mmselab.ct_verify` does.
 """
 
 from __future__ import annotations
@@ -58,12 +62,6 @@ _KERNEL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300, max_subdivi
 # (2 x 32, nodes) arrays of a pass; 64 took as long and raised the peak
 # memory of a scalar sweep by 0.5 MB.
 _CHUNK_POINTS = 32
-# Points per block of the bulk kernel callers (scalar_channel.conditional_mean,
-# the Monte Carlo oracle) and of the mixture sampler.  The temporaries for one
-# block (256 KB per array) stay in cache: for the six built-in laws at 1e6
-# points, 2^15 took 405 ms against 552 ms in one pass, and 2^12 or 2^18
-# took 500 ms.
-_BLOCK_POINTS = 2**15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -171,29 +169,27 @@ class ScalarSource:
     # -- sampling --------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. draws using the supplied generator."""
+        """n i.i.d. draws using the supplied generator.
+
+        One pass over n, four float64 a draw at the peak for a mixture:
+        bulk callers draw in blocks, as the Monte Carlo oracle does.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.kind == "mixture":
             # the components as rng.choice(len(w), n, p=w) draws them, one
             # uniform per draw against the normalized cdf, with a comparison
-            # per component in place of its binary search: the same stream.
-            # The uniforms wait in the output array, and each block of them
-            # is overwritten by its draws; the generator fills an array in
-            # order, so the normals drawn block by block are one long draw.
+            # per component in place of its binary search: the same stream
             w, mu, s = np.array(self.components).T
             cdf = np.cumsum(w)
             cdf /= cdf[-1]
-            x = rng.random(n)
-            z = np.empty(min(n, _BLOCK_POINTS))
-            for start in range(0, n, _BLOCK_POINTS):
-                block = x[start : start + _BLOCK_POINTS]
-                idx = np.zeros(block.size, dtype=np.intp)
-                for edge in cdf[:-1]:
-                    idx += block >= edge
-                draws = rng.standard_normal(out=z[: block.size])
-                draws *= s[idx]
-                np.add(draws, mu[idx], out=block)
+            u = rng.random(n)
+            idx = np.zeros(n, dtype=np.intp)
+            for edge in cdf[:-1]:
+                idx += u >= edge
+            x = rng.standard_normal(n)
+            x *= s[idx]
+            x += mu[idx]
             return x
         if self.kind == "uniform":
             lo, hi = self.params
@@ -320,7 +316,9 @@ class ScalarSource:
         """Domain (-R, R) and panel breakpoints of the channel integrals at snr q.
 
         R = TAIL_WIDTH sqrt(1 + q) + sqrt(q) B, with B a bulk radius of the
-        law: P(|X| > B) is negligible at the ``TAIL_WIDTH`` scale.
+        law: P(|X| > B) is negligible at the ``TAIL_WIDTH`` scale.  For a
+        custom law B is its farthest end, an infinite end counting as
+        TAIL_WIDTH^2 / 2, so a finite support is covered however wide.
 
         The breakpoints sit at the sharp features of the output density.  A
         feature (mu, sigma) of the law puts a bump or step of width
@@ -346,7 +344,7 @@ class ScalarSource:
             bulk = abs(loc) + s * (0.5 * TAIL_WIDTH**2 + TAIL_WIDTH)
         else:
             features = [(v, 0.0) for v in self.support if math.isfinite(v)]
-            bulk = min(max(abs(v) for v in self.support), 0.5 * TAIL_WIDTH**2)
+            bulk = max(abs(v) if math.isfinite(v) else 0.5 * TAIL_WIDTH**2 for v in self.support)
         sq = math.sqrt(q)
         radius = TAIL_WIDTH * math.sqrt(1.0 + q) + sq * bulk
         breakpoints = {

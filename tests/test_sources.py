@@ -128,7 +128,7 @@ def test_mixture_sampler_draws_the_stream_of_rng_choice():
     ]
     for comps in laws:
         w, mu, s = np.array(comps).T
-        # 70 001 draws span three blocks of the sampler, the last one partial
+        # 70 001 draws: more than two 2^15-draw blocks, as earlier versions drew them
         for seed, n in ((0, 1), (1, 7), (2, 4099), (3, 70_001)):
             rng = np.random.default_rng(seed)
             x = ScalarSource(kind="mixture", name="m", components=comps).sample(rng, n)
