@@ -2,19 +2,22 @@
 
 - :func:`kalman_cmmse` / :func:`kalman_mmse`: exact error covariances of the
   Gaussian-amplitude tone signal on the 2N static Fourier coefficients, from
-  their own basis: an independent check of the Gaussian tone errors.
-  The causal error is a sum over innovations: each chunk of steps takes
-  the variances of its measurement innovations from one Cholesky
-  factorization, given the information matrix at the chunk's start.  The
-  chunks run in groups, each building only its own basis rows, so memory
-  is bounded per group whatever the number of steps; the information sum
-  carries from group to group in the order of one cumulative sum, so the
-  grouping leaves every bit of the value.  The non-causal error is one
-  solve with the final information matrix, whose q-free part B'B is cached
-  per (N, steps); neither error is cached, as a caller asks for each setup
-  once.  Error covariances of a linear-Gaussian model are data independent,
-  so no sampling is involved, and because the state is static the
-  smoothing covariance equals the final filtering covariance.
+  their own basis, in one pass over its rows.  The causal error is a sum
+  over innovations: each chunk of steps takes the variances of its
+  measurement innovations from one Cholesky factorization, given the
+  information matrix at the chunk's start.  The chunks run in groups, each
+  building only its own basis rows, so memory is bounded per group
+  whatever the number of steps; the information sum carries from group to
+  group in the order of one cumulative sum, so the grouping leaves every
+  bit of the value.  The pass ends holding that sum
+  over all steps, B'B, and the non-causal error is one solve with the
+  final information matrix built on it.  Error covariances of a
+  linear-Gaussian model are data independent, so no sampling is involved,
+  and because the state is static the smoothing covariance equals the
+  final filtering covariance.  With more than 2N steps the sampled tones
+  are orthogonal, dt B'B = I/2 up to rounding, so the non-causal error is
+  its closed form at every dt: a check of that discrete orthogonality.
+  The causal error is the independent check of the Gaussian tone errors.
 - :func:`mc_scalar_mmse`: seeded Monte Carlo estimate of the scalar-channel
   error E[(X - E[X|Y])^2] with its standard error, from the kernels the
   quadrature uses: a check of the y-integration and panels, not the kernels.
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +92,9 @@ class KalmanSetup:
         object.__setattr__(self, "q", _check_snr(self.q))
         if self.n_steps < 100:
             raise ValueError("n_steps must be >= 100")
+        if self.n_steps <= 2 * self.n_tones:
+            # fewer samples than 2N alias the tones onto each other
+            raise ValueError(f"n_steps must exceed 2 n_tones = {2 * self.n_tones}")
 
     @property
     def dt(self) -> float:
@@ -113,15 +118,13 @@ class McEstimate:
     sample_count: int
 
 
-def _basis_matrix(setup: KalmanSetup, first: int = 0, n_rows: int | None = None) -> np.ndarray:
+def _basis_matrix(setup: KalmanSetup, first: int, n_rows: int) -> np.ndarray:
     """Rows h(t_j) = sqrt(1/T)[cos(w_k t_j).., sin(w_k t_j)..] at left endpoints.
 
-    The rows of steps ``first``, ``first`` + 1, .., all steps by default;
-    with ``n_rows``, that many, zero past the last step.
+    The ``n_rows`` rows of steps ``first``, ``first`` + 1, .., zero past the
+    last step.
     """
     n, steps = setup.n_tones, setup.n_steps
-    if n_rows is None:
-        n_rows = steps - first
     t = np.arange(first, min(first + n_rows, steps)) * setup.dt
     omega = 2.0 * math.pi * np.arange(1, n + 1) / HORIZON
     phases = np.outer(t, omega)
@@ -154,15 +157,16 @@ def _in_unit_range(quantity: str, setup: KalmanSetup, value: float) -> float:
     )
 
 
-def kalman_cmmse(setup: KalmanSetup) -> float:
-    """Time-integrated filtering (causal) error of the Gaussian tone signal.
+def _kalman_errors(setup: KalmanSetup, causal: bool = True) -> tuple:
+    """(causal, smoothing) time-integrated errors of the Gaussian tone signal.
 
     State: 2N static coefficients, prior N(0, I/N); per-step scalar
     measurement row sqrt(q dt) h(t_j) with unit noise variance.  The error
     covariance after step j is the inverse of J_j = N I + q dt sum_{i<=j}
     h_i h_i', and the causal error integrates h_j' J_j^-1 h_j dt.  With the
     innovation variance 1 + x_j, x_j = q dt h_j' J_{j-1}^-1 h_j, that term
-    is x_j / (1 + x_j) / q.
+    is x_j / (1 + x_j) / q.  The smoothing error is dt trace(J^-1 B'B),
+    with J = N I + q dt B'B the final information matrix, B the basis rows.
 
     Innovations form: for a chunk of B rows H starting at step s, with
     P = J_s^-1, the innovations of the chunk's measurements have covariance
@@ -172,19 +176,23 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
     The chunks are factored in batches of ``_group_chunks(N)``, each
     with the J_s of its chunks from a cumulative sum of their H'H, whose
     first row is the raw sum carried in from the steps before the group;
-    a partial last chunk is padded with zero rows, whose x is 0.
+    a partial last chunk is padded with zero rows, whose x is 0.  The sum
+    carried out of the last group is B'B.
 
     Rounding: J_s has eigenvalues in [N, N (1 + q)] and G_kk <= q / steps,
-    so the relative error is of order (1 + q) eps.  Past ``_CAUSAL_REL_TOL``
-    that bound raises IllConditioned rather than return a value it does
-    not hold (q above about 4.5e9).  A value past [0, 1] by more than the
-    bound raises ``NumericsError``; within it, it is clamped.
+    so the causal error's relative error is of order (1 + q) eps.  Past
+    ``_CAUSAL_REL_TOL`` that bound raises IllConditioned rather than
+    return a value it does not hold (q above about 4.5e9).  With
+    ``causal`` false the innovations are skipped, the bound is not
+    checked and the causal error is None.  The smoothing solve rounds up
+    to 2 ulp above the prior energy at low q.  A value past [0, 1] by
+    more than the bound raises ``NumericsError``; within it, it is clamped.
     """
     n, dt, q = setup.n_tones, setup.dt, setup.q
     if _prior_rounds(setup):
-        return 1.0  # the prior energy: sum_j |h_j|^2 dt / N = 1
+        return 1.0, 1.0  # the prior energy: sum_j |h_j|^2 dt / N = 1
     bound = (1.0 + q) * _EPS
-    if bound > _CAUSAL_REL_TOL:
+    if causal and bound > _CAUSAL_REL_TOL:
         raise IllConditioned(
             f"causal error of N={n}, q={q!r}: rounding bound {bound:.1e} "
             f"exceeds {_CAUSAL_REL_TOL:.0e}"
@@ -206,6 +214,8 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
         np.matmul(cols, rows, out=info[1:])
         np.cumsum(info, axis=0, out=info)
         info, carry = info[:-1], info[-1]
+        if not causal:
+            continue
         info *= q * dt
         info += n * np.eye(2 * n)
         w = np.linalg.inv(np.linalg.cholesky(info)) @ cols
@@ -218,33 +228,19 @@ def kalman_cmmse(setup: KalmanSetup) -> float:
         chol[:, diag, diag] = 0.0
         lower = np.einsum("cij,cij->ci", chol, chol)
         x[first : first + len(rows)] = np.where(pivots > 2.0, pivots - 1.0, g_diag - lower)
-    return _in_unit_range("causal error", setup, float(np.sum(x / (1.0 + x))) / q)
+    cmmse = _in_unit_range("causal error", setup, float(np.sum(x / (1.0 + x))) / q) if causal else None
+    mmse = float(np.trace(np.linalg.solve(n * np.eye(2 * n) + q * dt * carry, carry))) * dt
+    return cmmse, _in_unit_range("smoothing error", setup, mmse)
 
 
-@lru_cache(maxsize=64)
-def _gram(n_tones: int, n_steps: int) -> np.ndarray:
-    """B'B of the basis rows B, read-only: (2N, 2N), whatever the number of steps."""
-    basis = _basis_matrix(KalmanSetup(n_tones, 0.0, n_steps))
-    gram = basis.T @ basis
-    gram.setflags(write=False)
-    return gram
+def kalman_cmmse(setup: KalmanSetup) -> float:
+    """Time-integrated filtering (causal) error of the Gaussian tone signal (see _kalman_errors)."""
+    return _kalman_errors(setup)[0]
 
 
 def kalman_mmse(setup: KalmanSetup) -> float:
-    """Time-integrated smoothing error of the Gaussian tone signal.
-
-    One solve with the final information matrix J = N I + q dt B'B, B the
-    basis rows: the error is dt trace(J^-1 B'B).  B'B does not depend on
-    q and is built once per (N, steps).  The solve rounds up to 2 ulp above
-    the prior energy at low q, so the value is held to [0, 1] as in
-    :func:`kalman_cmmse`.
-    """
-    n, dt = setup.n_tones, setup.dt
-    if _prior_rounds(setup):
-        return 1.0
-    gram = _gram(n, setup.n_steps)
-    value = float(np.trace(np.linalg.solve(n * np.eye(2 * n) + setup.q * dt * gram, gram))) * dt
-    return _in_unit_range("smoothing error", setup, value)
+    """Time-integrated smoothing error of the Gaussian tone signal (see _kalman_errors)."""
+    return _kalman_errors(setup, causal=False)[1]
 
 
 def mc_scalar_mmse(src: ScalarSource, q: float, cfg: McConfig) -> McEstimate:

@@ -324,12 +324,11 @@ def derivative_at_zero(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
     initial_step: float = 0.2,
-    value_at_zero: float = 0.0,
 ) -> DerivativeEstimate:
-    """One-sided k-th derivative of ``g`` at 0, for ``g`` defined on ``q >= 0``.
+    """One-sided k-th derivative of ``g`` at 0, for ``g`` defined on ``q >= 0`` with ``g(0) = 0``.
 
-    Forward differences on nodes ``0, h, .., k*h`` (with ``g(0)`` supplied
-    exactly through ``value_at_zero``) are first-order accurate with a full
+    Forward differences on nodes ``0, h, .., k*h`` (``g(0)`` taken as exactly
+    0, so a caller passes g - g(0)) are first-order accurate with a full
     integer error series, so a Richardson tableau over the ``TABLEAU_LEVELS``
     halving steps ``h, h/2, h/4, ..`` gains one order per column.  The entry
     with the smallest error indicator is returned: the larger of its
@@ -352,7 +351,7 @@ def derivative_at_zero(
         i.e. the step schedule descended into ``g``'s own quadrature noise
         before the extrapolation could converge.
     """
-    values = {0.0: float(value_at_zero)}
+    values = {0.0: 0.0}
     for x in derivative_nodes((order,), initial_step):
         v = values[x] = float(g(x))
         if not math.isfinite(v):

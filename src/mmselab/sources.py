@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import TAIL_WIDTH, QuadratureConfig, integrate
+from .numerics import TAIL_WIDTH, NumericsError, QuadratureConfig, integrate
 
 __all__ = [
     "ZeroVariance",
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _STD_TOL = 1e-12
+# How far a custom law's pdf may integrate from 1, past its quadrature error bound.
+_MASS_TOL = 1e-9
 # Inner quadrature of the custom-law kernels and moments: every component
 # to 1e-12 relative, down to the underflow floor of the output tails.
 _KERNEL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=1000)
@@ -145,15 +147,23 @@ class ScalarSource:
             # raw moments of Exp(1): 1, 2, 6, 24
             return _affine_moments(*self.params, (1.0, 1.0, 2.0, 6.0, 24.0))
         # custom: x^k = (x+)^k + (-1)^k (x-)^k, nonnegative components, each
-        # to its own relative tolerance, however small the moment
+        # to its own relative tolerance, however small the moment; last, the
+        # pdf's own integral, which must be 1
         powers = np.arange(1, 5)[:, None]
 
         def f(x):
+            p = _pdf_values(self.pdf, x)
             halves = np.maximum(np.stack((x, -x)), 0.0)[:, None]  # x+ and x-
-            return (halves**powers * _pdf_values(self.pdf, x)).reshape(8, x.size)
+            return np.vstack(((halves**powers * p).reshape(8, x.size), p))
 
-        parts = integrate(f, self.support, _KERNEL_QUADRATURE, breakpoints=(0.0,)).value
-        return tuple(float(v) for v in parts[:4] + (-1.0) ** powers[:, 0] * parts[4:])
+        parts, err = integrate(f, self.support, _KERNEL_QUADRATURE, breakpoints=(0.0,))
+        mass = float(parts[8])
+        if abs(mass - 1.0) > _MASS_TOL + err[8]:
+            raise NumericsError(
+                f"law {self.name!r}: the pdf integrates to {mass!r} +- {err[8]:.1e} "
+                f"on {self.support}, not to 1 within {_MASS_TOL:.0e}"
+            )
+        return tuple(float(v) for v in parts[:4] + (-1.0) ** powers[:, 0] * parts[4:8])
 
     def moment(self, k: int) -> float:
         """Raw moment E X^k for k in 1..4."""

@@ -354,6 +354,14 @@ def test_kalman_gap_shrinks_linearly(tmp_path):
     assert abs(float(extrapolated["mmse_gap"])) <= 1e-3
 
 
+def test_kalman_aliased_grid_exits_2(capsys):
+    # 64 tones on 100 samples alias: this exited 0 with an extrapolated
+    # mmse_gap of 6.8e-3 and cmmse_gap of 3.3e-3
+    argv = ["kalman", "--n-list", "64", "--q-grid", "2", "--base-steps", "100", "--dt-levels", "2"]
+    assert main(argv) == EXIT_CONFIG
+    assert "n_steps must exceed 2 n_tones = 128" in capsys.readouterr().err
+
+
 def test_mc_check_rows(tmp_path):
     args = ["mc-check", "--source", "uniform", "--q-grid", "0.5", "--samples", "50000"]
     code, out = run_cli(args + ["--seed", "9"], tmp_path)

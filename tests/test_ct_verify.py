@@ -12,7 +12,6 @@ from mmselab.ct_verify import (
     McConfig,
     _MC_BLOCK,
     _basis_matrix,
-    _gram,
     kalman_cmmse,
     kalman_mmse,
     mc_scalar_mmse,
@@ -36,6 +35,9 @@ def test_setup_validation():
         KalmanSetup(1, 1.0, 64)  # fewer than 100 steps
     with pytest.raises(ValueError):
         KalmanSetup(0, 1.0, 256)
+    with pytest.raises(ValueError, match="exceed 2 n_tones = 128"):
+        KalmanSetup(64, 1.0, 128)  # 64 tones alias on 128 samples
+    assert KalmanSetup(64, 1.0, 129).n_steps == 129
     s = KalmanSetup(2, 1.0, 512)
     assert s.n_steps == 512
     assert s.dt == 2 * math.pi / 512
@@ -72,7 +74,7 @@ def test_kalman_tiny_snr_stays_within_the_prior_energy(q):
 
 def test_kalman_error_past_the_prior_energy_raises(monkeypatch):
     # a smoothing error three times the prior energy is no rounding
-    monkeypatch.setattr(ct_verify, "_gram", lambda n, steps: 3.0 * _gram(n, steps))
+    monkeypatch.setattr(ct_verify, "_basis_matrix", lambda *args: math.sqrt(3.0) * _basis_matrix(*args))
     with pytest.raises(NumericsError, match=r"Kalman smoothing error of N=2 .* q=1e-06"):
         kalman_mmse(KalmanSetup(2, 1e-6, 256))
 
@@ -119,7 +121,7 @@ def test_singular_information_matrix_raises():
 
 def _covariance_recursion(setup):
     """(causal, non-causal) errors from the per-step rank-one covariance update."""
-    basis = _basis_matrix(setup)
+    basis = _basis_matrix(setup, 0, setup.n_steps)
     p_cov = np.eye(2 * setup.n_tones) / setup.n_tones
     causal = 0.0
     for row in basis:
@@ -299,7 +301,9 @@ def test_oracles_hold_bounded_memory():
         assert peaks[0] < 4 * mb, src.name
         assert abs(peaks[1] - peaks[0]) < 0.01 * peaks[0], src.name
     for n_tones, steps in ((16, 8192), (16, 32768), (64, 8192)):
-        assert _traced_peak(lambda: kalman_cmmse(KalmanSetup(n_tones, 3.0, steps))) < 4 * mb
+        for error in (kalman_cmmse, kalman_mmse):
+            peak = _traced_peak(lambda: error(KalmanSetup(n_tones, 3.0, steps)))
+            assert peak < 4 * mb, (error.__name__, n_tones, steps)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
@@ -315,17 +319,33 @@ def test_kalman_groups_keep_the_bits(monkeypatch, n, steps):
         assert [kalman_cmmse(setup).hex() for setup in setups] == [v.hex() for v in values]
 
 
-def test_gram_is_built_once_per_tone_count_and_steps():
-    # B'B does not depend on q: one read-only copy per (N, steps), the same
-    # bits as forming it from the basis, so kalman_mmse is unchanged
-    for n, steps in ((1, 128), (4, 300)):
-        basis = _basis_matrix(KalmanSetup(n, 2.0, steps))
-        built = basis.T @ basis
-        gram = _gram(n, steps)
-        assert gram is _gram(n, steps)
-        assert gram.tobytes() == built.tobytes()
-        assert not gram.flags.writeable
-        for q in (0.5, 3.3):
-            setup = KalmanSetup(n, q, steps)
-            direct = np.linalg.solve(n * np.eye(2 * n) + q * setup.dt * built, built)
-            assert kalman_mmse(setup) == float(np.trace(direct)) * setup.dt
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("steps", [333, 2048, 8192])
+def test_smoothing_error_takes_the_gram_from_the_causal_pass(n, steps):
+    # B'B is the information sum the causal pass carries out of its last
+    # group, added chunk by chunk: within 4 ulp of forming it from the
+    # whole basis at once
+    basis = _basis_matrix(KalmanSetup(n, 1.0, steps), 0, steps)
+    gram = basis.T @ basis
+    for q in (0.7, 3.3, 1e5):
+        setup = KalmanSetup(n, q, steps)
+        direct = np.linalg.solve(n * np.eye(2 * n) + q * setup.dt * gram, gram)
+        expected = float(np.trace(direct)) * setup.dt
+        assert kalman_mmse(setup) == pytest.approx(expected, rel=0.0, abs=4 * math.ulp(expected))
+        # the views and the CLI's pass agree bit for bit
+        assert ct_verify._kalman_errors(setup) == (kalman_cmmse(setup), kalman_mmse(setup))
+
+
+def test_kalman_builds_each_basis_row_once(monkeypatch):
+    # both errors of a (N, q, dt level) from one pass over its basis rows
+    built = []
+
+    def counted(*args):
+        rows = _basis_matrix(*args)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(ct_verify, "_basis_matrix", counted)
+    argv = ["kalman", "--n-list", "1,4", "--q-grid", "0.5,3.3", "--base-steps", "256", "--dt-levels", "2"]
+    assert main(argv) == 0
+    assert sum(built) == 2 * 2 * (256 + 512)

@@ -186,13 +186,12 @@ _COEFF = st.one_of(st.just(0.0), st.floats(0.01, 8.0), st.floats(-8.0, -0.01))
 @example(coeffs=[0.0, 0.0, 0.0, 0.01171875, 0.0, -8.0, 1.0], order=1)
 def test_derivative_honest_on_polynomials(coeffs, order):
     # degree <= 6 polynomial: the tableau removes the whole truncation
-    # series, so the estimate must sit inside the reported error bound
+    # series, so the estimate must sit inside the reported error bound;
+    # g - g(0) is accurate to 1e-14 of g, so to 1e-14 |g(0)| absolute
     poly = np.polynomial.Polynomial(coeffs)
     truth = math.factorial(order) * coeffs[order]
-    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-18)
-    est = derivative_at_zero(
-        lambda q: float(poly(q)), order, cfg, value_at_zero=float(coeffs[0])
-    )
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-18 + 1e-14 * abs(coeffs[0]))
+    est = derivative_at_zero(lambda q: float(poly(q)) - coeffs[0], order, cfg)
     assert abs(est.value - truth) <= 3.0 * est.error_estimate
     assert abs(est.value - truth) <= max(est.error_estimate, 1e-7)
 
@@ -202,7 +201,7 @@ def test_step_underflow_when_noise_declared_large():
     # shrinking schedule is noise-dominated and must say so
     cfg = QuadratureConfig(rel_tol=1e-2, abs_tol=1e-6)
     with pytest.raises(StepUnderflow):
-        derivative_at_zero(lambda q: 5.0 + q**4, 4, cfg, value_at_zero=5.0)
+        derivative_at_zero(lambda q: (5.0 + q**4) - 5.0, 4, cfg)
 
 
 def test_derivative_input_validation():

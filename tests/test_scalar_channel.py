@@ -598,8 +598,9 @@ def _far_pdf(x):
             id="infinite",
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="the mapped moment quadrature misses the far components: "
-                "raw EX^2 0.0900 against 0.9350, so another law is standardized",
+                raises=NumericsError,
+                reason="the mapped moment quadrature misses the far components "
+                "(raw EX^2 0.0900 against 0.9350), and the pdf's integral 0.9998 raises",
             ),
         ),
     ],
@@ -615,3 +616,10 @@ def test_custom_law_matches_its_mixture_twin(support):
         assert nongaussianity(ch, CUSTOM_CFG) == pytest.approx(
             nongaussianity(twin_ch, CUSTOM_CFG), rel=1e-10
         ), q
+
+
+def test_custom_law_missing_mass_raises():
+    # the same law on (-inf, inf) was standardized from moments that missed
+    # its far components, and gave D 2.3e-8 against 0.2986 with exit 0
+    with pytest.raises(NumericsError, match=r"law 'far': the pdf integrates to 0\.9998"):
+        custom_source(_far_pdf, (-math.inf, math.inf), name="far")

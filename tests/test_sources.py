@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 
 from mmselab import sources
-from mmselab.numerics import TAIL_WIDTH, integrate
+from mmselab.numerics import TAIL_WIDTH, NumericsError, integrate
 from mmselab.sources import (
     AmplitudeLaw,
     ScalarSource,
@@ -208,6 +208,17 @@ def test_custom_source_roundtrip():
     assert np.all(dens > 0)
     with pytest.raises(ValueError):
         tri.sample(np.random.default_rng(0), 8)
+
+
+def test_custom_pdf_must_integrate_to_one():
+    # a density off by a factor is no law: its moments would standardize another
+    b = math.sqrt(3.0)
+    with pytest.raises(NumericsError, match=r"law 'double': the pdf integrates to 2\.0"):
+        sources.custom_source(lambda x: 1.0 / b, (-b, b), name="double")
+    off = 1.0 + 1e-8
+    with pytest.raises(NumericsError, match="not to 1 within 1e-09"):
+        sources.custom_source(lambda x: off * 0.5 / b, (-b, b))
+    assert sources.custom_source(lambda x: (1.0 + 1e-10) * 0.5 / b, (-b, b)).is_standard
 
 
 def test_custom_finite_support_gets_the_uniform_panels():
