@@ -9,12 +9,11 @@
   building only its own basis rows, so memory is bounded per group
   whatever the number of steps; the information sum carries from group to
   group in the order of one cumulative sum, so the grouping leaves every
-  bit of the value.  The pass ends holding that sum
-  over all steps, B'B, and the non-causal error is one solve with the
-  final information matrix built on it.  Error covariances of a
-  linear-Gaussian model are data independent, so no sampling is involved,
-  and because the state is static the smoothing covariance equals the
-  final filtering covariance.  With more than 2N steps the sampled tones
+  bit of the value.  The pass ends holding that sum over all steps, B'B,
+  and the non-causal error is one solve with the final information matrix
+  built on it.  Error covariances of a linear-Gaussian model are data
+  independent, so no sampling is involved, and because the state is static
+  the smoothing covariance equals the final filtering covariance.  With more than 2N steps the sampled tones
   are orthogonal, dt B'B = I/2 up to rounding, so the non-causal error is
   its closed form at every dt: a check of that discrete orthogonality.
   The causal error is the independent check of the Gaussian tone errors.
