@@ -9,11 +9,11 @@ Differentiation at the left endpoint of ``[0, q_max]`` uses one-sided
 finite differences on a geometric step schedule with a Richardson/Ridders
 extrapolation tableau.
 
-Infinite integration limits are mapped onto finite ones by a rational
-substitution.  The channel integrals pass finite domains instead, cut
+Integration domains are finite.  The channel integrals cut theirs
 ``TAIL_WIDTH`` noise standard deviations beyond the output's bulk: their
 integrands are Gaussian-tailed, so the truncation error is far below the
-requested tolerances.
+requested tolerances.  A custom law's density is given on a finite
+support, whose ends leave out less mass than the law's mass check allows.
 """
 
 from __future__ import annotations
@@ -174,32 +174,14 @@ _NODES = np.concatenate((-_GK21_HALF[:-1, 0], _GK21_HALF[::-1, 0]))
 _WEIGHTS = np.concatenate((_GK21_HALF[:-1, 1:], _GK21_HALF[::-1, 1:]))  # (21, 2): Kronrod, Gauss
 
 
-def _to_finite(f: Callable, a: float, b: float):
-    """``(g, lo, hi, x_of, t_of)``: ``g`` on (lo, hi) integrates to ``f`` on (a, b).
-
-    x = x_of(t) maps the nodes, and t = t_of(x) the breakpoints.
-    """
-    if math.isfinite(a) and math.isfinite(b):
-        return f, a, b, float, float
-    if math.isinf(a) and math.isinf(b):
-        x_of = lambda t: t / (1.0 - t * t)  # noqa: E731
-        t_of = lambda x: 2.0 * x / (1.0 + math.sqrt(1.0 + 4.0 * x * x))  # noqa: E731
-        return (lambda t: f(x_of(t)) * (1.0 + t * t) / (1.0 - t * t) ** 2), -1.0, 1.0, x_of, t_of
-    origin, sign = (a, 1.0) if math.isfinite(a) else (b, -1.0)
-    x_of = lambda t: origin + sign * t / (1.0 - t)  # noqa: E731
-    t_of = lambda x: sign * (x - origin) / (1.0 + sign * (x - origin))  # noqa: E731
-    return (lambda t: f(x_of(t)) / (1.0 - t) ** 2), 0.0, 1.0, x_of, t_of
-
-
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, x_of: Callable) -> tuple:
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """``(vector, rows)`` of the panels (lo, hi), from one call of ``f`` on all their nodes.
 
     ``rows`` stacks lo, hi, then the k values and the k error bounds of
     each panel: k = 1 unless ``f`` is a vector integrand (``vector``).  The
     value is the Kronrod one; the error is QUADPACK's estimate
     ``resasc * min(1, (200 |K - G| / resasc)^1.5)``, floored at 50 eps of
-    the panel's integral of ``|f|``.  A ``NonFinite`` names the node mapped
-    back to x by ``x_of``.
+    the panel's integral of ``|f|``.  A ``NonFinite`` names the node.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
@@ -209,7 +191,7 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, x_of: Callable) -> tupl
     bad = ~np.isfinite(fx)
     if bad.any():
         row, node = np.argwhere(bad)[0]
-        at = x_of(float(x[row % len(lo), node]))
+        at = float(x[row % len(lo), node])
         raise NonFinite(f"integrand returned {float(fx[row, node])!r} at x={at!r}")
     kronrod, gauss = (fx @ _WEIGHTS).T
     dev = fx - 0.5 * kronrod[:, None]
@@ -243,13 +225,16 @@ def integrate(
     each pass calls ``f`` once, on the nodes of every panel the previous
     pass opened, then bisects every panel where some component's error
     exceeds its share ``tol / panels`` of that component's
-    ``tol = max(abs_tol, rel_tol * |value|)``.  An infinite endpoint is
-    mapped to a finite one by x = t/(1-t^2), a + t/(1-t) or b - t/(1-t).
-    ``breakpoints`` are fixed panel edges from the first pass on, for known
-    sharp peaks or kinks; those outside the open domain are ignored.
+    ``tol = max(abs_tol, rel_tol * |value|)``.  The domain (a, b) must be
+    finite: an integrand with tails is cut where they fall below the
+    tolerance.  ``breakpoints`` are fixed panel edges from the first pass
+    on, for known sharp peaks or kinks; those outside the open domain are
+    ignored.
 
     Raises
     ------
+    ValueError
+        If the domain is not a finite a < b.
     NonConvergence
         If some component's error still exceeds its ``tol`` with
         ``cfg.max_subdivisions`` panels in use.
@@ -257,11 +242,10 @@ def integrate(
         If ``f`` evaluates to NaN or +-inf anywhere it is sampled.
     """
     a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise ValueError(f"empty integration domain ({a}, {b})")
-    g, t0, t1, x_of, t_of = _to_finite(f, a, b)
-    inner = sorted(t_of(p) for p in set(breakpoints or ()) if a < p < b)
-    vector, panels = _panels(g, np.array([t0, *inner]), np.array([*inner, t1]), x_of)
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"integration domain ({a}, {b}) is not a finite a < b")
+    inner = sorted(p for p in set(breakpoints or ()) if a < p < b)
+    vector, panels = _panels(f, np.array([a, *inner]), np.array([*inner, b]))
     k = (len(panels) - 2) // 2
     while True:
         value, err = panels[2 : 2 + k].sum(axis=1), panels[2 + k :].sum(axis=1)
@@ -287,7 +271,7 @@ def integrate(
         split = split[np.argsort(-worst, kind="stable")[:room]]
         lo, hi = panels[0, split], panels[1, split]
         mid = 0.5 * (lo + hi)
-        new = _panels(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), x_of)[1]
+        new = _panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)))[1]
         panels = np.concatenate((np.delete(panels, split, axis=1), new), axis=1)
 
 

@@ -102,7 +102,8 @@ class ScalarSource:
       sigma >= 0; a component with sigma = 0 is an atom at its mean
     - uniform:     ``params`` = (lo, hi)
     - exponential: ``params`` = (loc, scale), law of loc + scale * Exp(1)
-    - custom:      ``pdf`` on ``support``
+    - custom:      ``pdf`` (a callable of one point) on a finite ``support``
+      (lo, hi), outside which its mass is below the 1e-9 of the mass check
     """
 
     kind: str
@@ -110,7 +111,7 @@ class ScalarSource:
     params: tuple = ()
     components: tuple = ()
     pdf: Callable | None = None
-    support: tuple = (-math.inf, math.inf)
+    support: tuple = ()
     _moments: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
@@ -122,6 +123,13 @@ class ScalarSource:
                 raise ValueError("mixture weights must be >= 0 and sum to 1")
             if any(c[2] < 0 for c in self.components):
                 raise ValueError("mixture sigmas must be >= 0")
+        if self.kind == "custom":
+            lo, hi = self.support if len(self.support) == 2 else (math.nan, math.nan)
+            if not (callable(self.pdf) and -math.inf < lo < hi < math.inf):
+                raise ValueError(
+                    f"custom law {self.name!r} needs a callable pdf on a finite support"
+                    f" (lo, hi) with lo < hi, got pdf {self.pdf!r}, support {self.support!r}"
+                )
         if not self._moments:
             object.__setattr__(self, "_moments", self._raw_moments())
 
@@ -148,11 +156,14 @@ class ScalarSource:
             return _affine_moments(*self.params, (1.0, 1.0, 2.0, 6.0, 24.0))
         # custom: x^k = (x+)^k + (-1)^k (x-)^k, nonnegative components, each
         # to its own relative tolerance, however small the moment; last, the
-        # pdf's own integral, which must be 1
+        # pdf's own integral, which must be 1; a negative value is no law's
         powers = np.arange(1, 5)[:, None]
 
         def f(x):
             p = _pdf_values(self.pdf, x)
+            if (p < 0.0).any():
+                i = int(np.argmax(p < 0.0))
+                raise ValueError(f"law {self.name!r}: the pdf is {p[i]:.6g} < 0 at x={x[i]:.17g}")
             halves = np.maximum(np.stack((x, -x)), 0.0)[:, None]  # x+ and x-
             return np.vstack(((halves**powers * p).reshape(8, x.size), p))
 
@@ -327,8 +338,8 @@ class ScalarSource:
 
         R = TAIL_WIDTH sqrt(1 + q) + sqrt(q) B, with B a bulk radius of the
         law: P(|X| > B) is negligible at the ``TAIL_WIDTH`` scale.  For a
-        custom law B is its farthest end, an infinite end counting as
-        TAIL_WIDTH^2 / 2, so a finite support is covered however wide.
+        custom law B is its farthest end, so its support is covered however
+        wide.
 
         The breakpoints sit at the sharp features of the output density.  A
         feature (mu, sigma) of the law puts a bump or step of width
@@ -339,8 +350,7 @@ class ScalarSource:
         domain, and a panel that merely ends at one can miss it (a uniform
         law from q = 1e7 on, where the first Gauss-Kronrod rule samples only
         the flat top and the tails); breakpoints at 0 and +-8 widths around
-        each feature keep it inside two panels.  An infinite end of a
-        support adds none; with none at all, the breakpoints are None.
+        each feature keep it inside two panels.
         """
         if self.kind == "mixture":
             features = [(mu, s) for _, mu, s in self.components]
@@ -353,14 +363,14 @@ class ScalarSource:
             features = [(loc, 0.0)]
             bulk = abs(loc) + s * (0.5 * TAIL_WIDTH**2 + TAIL_WIDTH)
         else:
-            features = [(v, 0.0) for v in self.support if math.isfinite(v)]
-            bulk = max(abs(v) if math.isfinite(v) else 0.5 * TAIL_WIDTH**2 for v in self.support)
+            features = [(v, 0.0) for v in self.support]
+            bulk = max(abs(v) for v in self.support)
         sq = math.sqrt(q)
         radius = TAIL_WIDTH * math.sqrt(1.0 + q) + sq * bulk
         breakpoints = {
             sq * mu + d * math.sqrt(1.0 + q * s * s) for mu, s in features for d in (-8.0, 0.0, 8.0)
         }
-        return (-radius, radius), sorted(breakpoints) or None
+        return (-radius, radius), sorted(breakpoints)
 
 
 def _affine_moments(loc: float, scale: float, raw: tuple) -> tuple:
@@ -469,8 +479,10 @@ def gaussian_mixture(weight, mu1, sigma1, mu2, sigma2, name: str = "mixture") ->
 def custom_source(pdf, support, name: str = "custom") -> ScalarSource:
     """Standardized law from an arbitrary density (moments by quadrature).
 
-    ``pdf`` takes one point and returns a float.  The moments and the
-    channel kernels call it once per node of their quadratures in x, and a
+    ``pdf`` takes one point and returns a float >= 0.  ``support`` is a
+    finite (lo, hi): a heavy-tailed density is cut where the mass outside
+    is below the 1e-9 of the mass check.  The moments and the channel
+    kernels call the pdf once per node of their quadratures in x, and a
     kernel shares each value among a whole chunk of output points.
     """
     raw = ScalarSource(kind="custom", name=name, pdf=pdf, support=tuple(support))

@@ -32,24 +32,25 @@ def test_config_validation():
 
 
 def test_normal_density_normalizes():
-    val, err = integrate(normal_pdf, (-math.inf, math.inf))
+    val, err = integrate(normal_pdf, (-40.0, 40.0))
     assert val == pytest.approx(1.0, abs=1e-9)
     assert err <= 1e-9
 
 
 def test_odd_moment_vanishes():
-    val, _ = integrate(lambda y: y * normal_pdf(y), (-math.inf, math.inf))
+    val, _ = integrate(lambda y: y * normal_pdf(y), (-40.0, 40.0))
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
 def test_second_moment_is_one():
-    val, _ = integrate(lambda y: y * y * normal_pdf(y), (-math.inf, math.inf))
+    val, _ = integrate(lambda y: y * y * normal_pdf(y), (-40.0, 40.0))
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_radial_halfline_domain():
-    # Rayleigh density r exp(-r^2/2) integrates to 1 on the half-line
-    val, _ = integrate(lambda r: r * np.exp(-0.5 * r * r), (0.0, math.inf))
+    # Rayleigh density r exp(-r^2/2) integrates to 1 on the half-line,
+    # here cut at r = 40, where its tail is exp(-800)
+    val, _ = integrate(lambda r: r * np.exp(-0.5 * r * r), (0.0, 40.0))
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
@@ -62,8 +63,8 @@ def _narrow_normal(y):
 @pytest.mark.parametrize(
     "f, domain, breakpoints, expected",
     [
-        (normal_pdf, (-math.inf, 0.0), None, 0.5),
-        (normal_pdf, (-1.0, math.inf), None, 0.8413447460685429),
+        (normal_pdf, (-40.0, 0.0), None, 0.5),
+        (normal_pdf, (-1.0, 40.0), None, 0.8413447460685429),
         (lambda y: y**30, (0.0, 1.0), None, 1.0 / 31.0),
         (_narrow_normal, (-10.0, 10.0), (0.3 - 8e-3, 0.3, 0.3 + 8e-3), 1.0),
     ],
@@ -85,6 +86,15 @@ def test_empty_domain_rejected():
         integrate(normal_pdf, (2.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "domain", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan)]
+)
+def test_infinite_domain_rejected(domain):
+    # a domain is finite: a tailed integrand is cut where its tail is negligible
+    with pytest.raises(ValueError, match="not a finite a < b"):
+        integrate(normal_pdf, domain)
+
+
 def test_nonfinite_detected():
     with pytest.raises(NonFinite):
         integrate(lambda y: np.where(y > 0.5, np.inf, 1.0), (0.0, 1.0))
@@ -93,10 +103,6 @@ def test_nonfinite_detected():
     # one bad element of the array: the centre node of the first panel
     with pytest.raises(NonFinite, match="at x=0.0"):
         integrate(lambda y: np.where(y == 0.0, np.nan, 1.0), (-1.0, 1.0))
-    # an infinite domain names the x, not the node of the mapped variable
-    with pytest.raises(NonFinite) as exc:
-        integrate(lambda y: np.where(y > 10, np.nan, 0.0), (0.0, np.inf))
-    assert float(str(exc.value).rpartition("x=")[2]) > 10.0
 
 
 def test_nonconvergence_on_rough_integrand():
@@ -111,14 +117,13 @@ def _laplace(y):
 
 def test_vector_components_meet_their_own_tolerance():
     # scales 1e-200, 1 and 1e100 on one set of panels: each component is
-    # held to rel_tol of its own value; the breakpoint at the Laplace kink
-    # works on an infinite domain too
+    # held to rel_tol of its own value, with a breakpoint at the Laplace kink
     cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
 
     def f(y):
         return np.stack((1e-200 * normal_pdf(y), y * y * normal_pdf(y), 1e100 * _laplace(y)))
 
-    val, err = integrate(f, (-math.inf, math.inf), cfg, breakpoints=(0.0,))
+    val, err = integrate(f, (-40.0, 40.0), cfg, breakpoints=(0.0,))
     assert val.shape == err.shape == (3,)
     np.testing.assert_allclose(val, [1e-200, 1.0, 1e100], rtol=1e-12, atol=0.0)
     assert np.all(err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(val)))
@@ -126,8 +131,8 @@ def test_vector_components_meet_their_own_tolerance():
 
 def test_one_component_vector_returns_the_scalar_floats():
     f = lambda y: y * y * normal_pdf(y)  # noqa: E731
-    scalar = integrate(f, (-math.inf, math.inf))
-    vector = integrate(lambda y: f(y)[None, :], (-math.inf, math.inf))
+    scalar = integrate(f, (-40.0, 40.0))
+    vector = integrate(lambda y: f(y)[None, :], (-40.0, 40.0))
     assert type(scalar.value) is float and type(scalar.error) is float
     assert vector.value.shape == (1,)
     assert (vector.value[0], vector.error[0]) == scalar

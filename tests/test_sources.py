@@ -228,8 +228,58 @@ def test_custom_finite_support_gets_the_uniform_panels():
     for q in (1e-2, 1.0, 1e6, 1e7):
         assert flat.output_panels(q) == uniform().output_panels(q)
     r2 = math.sqrt(2.0)
-    laplace = sources.custom_source(lambda x: math.exp(-r2 * abs(x)) / r2, (-math.inf, math.inf))
-    assert laplace.output_panels(1e6)[1] is None
+    laplace = sources.custom_source(lambda x: math.exp(-r2 * abs(x)) / r2, (-40.0, 40.0))
+    assert laplace.support == (-40.0, 40.0)
+    domain, breakpoints = laplace.output_panels(1e6)
+    radius = TAIL_WIDTH * math.sqrt(1.0 + 1e6) + 1e3 * 40.0
+    assert domain == (-radius, radius)
+    assert breakpoints == [1e3 * v + d for v in (-40.0, 40.0) for d in (-8.0, 0.0, 8.0)]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"support": (-1.0, 1.0)},
+        {"pdf": 0.5, "support": (-1.0, 1.0)},
+        {"pdf": lambda x: 0.5},
+        {"pdf": lambda x: 0.5, "support": (-1.0,)},
+        {"pdf": lambda x: 0.5, "support": (1.0, -1.0)},
+        {"pdf": lambda x: 0.5, "support": (-1.0, 1.0, 2.0)},
+        {"pdf": lambda x: 0.5, "support": (-math.inf, 1.0)},
+        {"pdf": lambda x: 0.5, "support": (-1.0, math.nan)},
+    ],
+    ids=["no-pdf", "pdf-not-callable", "no-support", "one-end", "reversed", "three-ends",
+         "infinite-end", "nan-end"],
+)
+def test_malformed_custom_law_raises_value_error(fields):
+    # with no pdf or a one-end support these raised TypeError and IndexError
+    # from deep in the moment quadrature
+    with pytest.raises(ValueError, match="custom law 'bad' needs a callable pdf on a finite"):
+        ScalarSource(kind="custom", name="bad", **fields)
+
+
+def test_custom_support_must_be_finite():
+    # an infinite support is cut by the user, where the mass outside is negligible
+    with pytest.raises(ValueError, match="custom law 'normal' needs a callable pdf on a finite"):
+        sources.custom_source(
+            lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
+            (-math.inf, math.inf),
+            name="normal",
+        )
+
+
+def test_negative_pdf_raises():
+    # mass 1 on (-sqrt 3, sqrt 3), but negative near +-sqrt(3)/2: no law, and
+    # its mmse at q = 2 read 0.3186 without raising
+    b = math.sqrt(3.0)
+
+    def pdf(x):
+        return (1.0 + 1.5 * math.cos(2.0 * math.pi * x / b)) / (2.0 * b)
+
+    assert integrate(np.vectorize(pdf), (-b, b)).value == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match=r"law 'lobes': the pdf is -[0-9.e-]+ < 0 at x=") as exc:
+        sources.custom_source(pdf, (-b, b), name="lobes")
+    assert pdf(float(str(exc.value).rpartition("x=")[2])) < 0.0
 
 
 # the distinct q of a derivative stencil and of the scalar grid, as columns,
