@@ -4,7 +4,11 @@ Subcommands: scalar, derivatives, tones, kalman, mc-check.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure.  Identical
 configurations (including the seed) produce byte-identical output; every
 numeric cell is written with 17 significant digits.  Each command parses
-its law once and evaluates the grid in order, in one process.
+its law once and evaluates the grid in one process.  ``scalar`` runs the
+integrals of up to ``_GRID_BATCH`` grid points in lockstep, each with the
+panels and the values of its lone call, then checks them in grid order,
+so its first failure names the same point as a point-by-point run; the
+other commands evaluate their grids point by point, in order.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ __all__ = [
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# Grid points per integral batch of ``scalar``: a batch holds the nodes of a
+# pass of all its integrals at once, so a long grid goes in slices.
+_GRID_BATCH = 64
 
 
 def parse_q_grid(spec: str) -> tuple:
@@ -84,9 +91,7 @@ def _quad_cfg(tol: float) -> QuadratureConfig:
 # -- per-point rows -----------------------------------------------------------
 
 
-def _scalar_point(src, q: float, cfg: QuadratureConfig) -> dict:
-    # both quantities from one vector integral on one panel set
-    m, d = scalar_channel._channel_integrals(src, [("mmse", q), ("nongaussianity", q)], cfg)
+def _scalar_row(src, q: float, m: float, d: float) -> dict:
     t3 = scalar_channel.mmse_taylor3(src, q)
     gm = scalar_channel.gaussian_mmse(q)
     return {
@@ -150,7 +155,15 @@ def cmd_scalar(args: argparse.Namespace) -> list:
     q_grid = parse_q_grid(args.q_grid)
     src = parse_source(args.source)
     cfg = _quad_cfg(args.tol)
-    return [_scalar_point(src, q, cfg) for q in q_grid]
+    rows = []
+    for start in range(0, len(q_grid), _GRID_BATCH):
+        # the mmse and D of each q, one integral per q with the panels of
+        # its lone call, all in one batch
+        qs = q_grid[start : start + _GRID_BATCH]
+        parts = [(quantity, q) for q in qs for quantity in ("mmse", "nongaussianity")]
+        values = scalar_channel._channel_integrals(src, parts, cfg, per_q=True)
+        rows += [_scalar_row(src, q, m, d) for q, m, d in zip(qs, values[::2], values[1::2])]
+    return rows
 
 
 def cmd_derivatives(args: argparse.Namespace) -> list:

@@ -4,7 +4,8 @@ All routines are pure functions of their arguments: no global state, no
 randomness, bit-identical outputs for identical inputs.  Integration is
 globally adaptive bisection with the 21-point Gauss-Kronrod rule and error
 estimate of QUADPACK (Piessens et al., 1983) per panel, on array
-integrands, scalar or vector-valued (one panel set for all components).
+integrands, scalar or vector-valued (one panel set for all components),
+one integral at a time or a batch of them in lockstep.
 Differentiation at the left endpoint of ``[0, q_max]`` uses one-sided
 finite differences on a geometric step schedule with a Richardson/Ridders
 extrapolation tableau.
@@ -172,49 +173,107 @@ _GK21_HALF = np.array([
 ])
 _NODES = np.concatenate((-_GK21_HALF[:-1, 0], _GK21_HALF[::-1, 0]))
 _WEIGHTS = np.concatenate((_GK21_HALF[:-1, 1:], _GK21_HALF[::-1, 1:]))  # (21, 2): Kronrod, Gauss
+_KRONROD = _WEIGHTS[:, 0].copy()  # contiguous, for the matrix-vector products
+_NO_NODES = np.empty(0)
+_EPS50 = 50.0 * np.finfo(float).eps
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """``(vector, rows)`` of the panels (lo, hi), from one call of ``f`` on all their nodes.
+class _Integral:
+    """One integral of an :func:`integrate` batch.
 
-    ``rows`` stacks lo, hi, then the k values and the k error bounds of
-    each panel: k = 1 unless ``f`` is a vector integrand (``vector``).  The
-    value is the Kronrod one; the error is QUADPACK's estimate
-    ``resasc * min(1, (200 |K - G| / resasc)^1.5)``, floored at 50 eps of
-    the panel's integral of ``|f|``.  A ``NonFinite`` names the node.
+    ``rows`` stacks lo, hi, the k values and the k error bounds of its kept
+    panels; ``x`` holds the 21 nodes of each open panel (lo, hi).
+    ``result`` is None while it is open, then its ``ValueWithError`` or the
+    ``NonConvergence`` or ``NonFinite`` it failed with.
     """
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    fx = np.asarray(f(x.ravel()), dtype=float)
-    vector = fx.ndim == 2
-    fx = fx.reshape(-1, _NODES.size)  # one row per component and panel
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        row, node = np.argwhere(bad)[0]
-        at = float(x[row % len(lo), node])
-        raise NonFinite(f"integrand returned {float(fx[row, node])!r} at x={at!r}")
-    kronrod, gauss = (fx @ _WEIGHTS).T
-    dev = fx - 0.5 * kronrod[:, None]
-    np.abs(dev, out=dev)
-    resasc = dev @ _WEIGHTS[:, 0]
-    np.abs(fx, out=dev)
-    resabs = dev @ _WEIGHTS[:, 0]
-    diff = np.abs(kronrod - gauss)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(resasc > 0, resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5), diff)
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    rows = np.concatenate((lo, hi, kronrod, err)).reshape(-1, len(lo))
-    rows[2:] *= half
-    return vector, rows
+
+    __slots__ = ("a", "b", "rows", "lo", "hi", "half", "x", "result")
+
+    def __init__(self, domain: tuple, breakpoints: Sequence[float] | None) -> None:
+        a, b = float(domain[0]), float(domain[1])
+        if not -math.inf < a < b < math.inf:
+            raise ValueError(f"integration domain ({a}, {b}) is not a finite a < b")
+        inner = sorted(p for p in set(breakpoints or ()) if a < p < b)
+        self.a, self.b, self.rows, self.result = a, b, None, None
+        self._open(np.array([a, *inner]), np.array([*inner, b]))
+
+    def _open(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        self.lo, self.hi = lo, hi
+        self.half = 0.5 * (hi - lo)
+        self.x = (0.5 * (lo + hi))[:, None] + self.half[:, None] * _NODES
+
+    def absorb(self, fx, cfg: QuadratureConfig) -> None:
+        """Take the integrand's values ``fx`` at ``x``, then close the integral or bisect.
+
+        A panel's value is the Kronrod one; its error is QUADPACK's estimate
+        ``resasc * min(1, (200 |K - G| / resasc)^1.5)``, floored at 50 eps
+        of the panel's integral of ``|f|``.  Past the panel budget, the
+        worst panels (relative to ``tol``) are bisected first.
+        """
+        fx = np.asarray(fx, dtype=float)
+        vector = fx.ndim == 2
+        fx = fx.reshape(-1, _NODES.size)  # one row per component and panel
+        if not np.isfinite(fx).all():
+            row, node = np.argwhere(~np.isfinite(fx))[0]
+            at = float(self.x[row % len(self.lo), node])
+            self.result = NonFinite(f"integrand returned {float(fx[row, node])!r} at x={at!r}")
+            return
+        kronrod, gauss = (fx @ _WEIGHTS).T
+        dev = fx - 0.5 * kronrod[:, None]
+        np.abs(dev, out=dev)
+        resasc = dev @ _KRONROD
+        np.abs(fx, out=dev)
+        resabs = dev @ _KRONROD
+        diff = np.abs(kronrod - gauss)
+        scaled = resasc > 0
+        ratio = 200.0 * diff
+        np.divide(ratio, resasc, out=ratio, where=scaled)
+        err = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), diff)
+        np.maximum(err, _EPS50 * resabs, out=err)
+        new = np.concatenate((self.lo, self.hi, kronrod, err)).reshape(-1, len(self.lo))
+        new[2:] *= self.half
+        panels = new if self.rows is None else np.concatenate((self.rows, new), axis=1)
+
+        k = (len(panels) - 2) // 2
+        sums = np.add.reduce(panels[2:], axis=1)  # the values, then the error bounds
+        value, err = sums[:k], sums[k:]
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+        if (err <= tol).all():
+            if vector:
+                self.result = ValueWithError(value, err)
+            else:
+                self.result = ValueWithError(float(value[0]), float(err[0]))
+            return
+        count = panels.shape[1]
+        room = cfg.max_subdivisions - count
+        if room <= 0:
+            worst = int(np.argmax(err / tol))
+            self.result = NonConvergence(
+                f"quadrature error {err[worst]:.3e} exceeds tolerance for value {value[worst]:.6e}"
+                + (f" (component {worst})" if vector else "")
+                + f" on ({self.a:.6g}, {self.b:.6g})",
+                worst if vector else None,
+            )
+            return
+        errs = panels[2 + k :]
+        split = np.flatnonzero((errs > (tol / count)[:, None]).any(axis=0))
+        worst = (errs[:, split] / tol[:, None]).max(axis=0)
+        split = split[np.argsort(-worst, kind="stable")[:room]]
+        keep = np.ones(count, dtype=bool)
+        keep[split] = False
+        self.rows = panels[:, keep]
+        lo, hi = panels[:2, split]
+        mid = 0.5 * (lo + hi)
+        self._open(np.concatenate((lo, mid)), np.concatenate((mid, hi)))
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    domain: tuple,
+    f: Callable,
+    domain: tuple | Sequence[tuple],
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
-    breakpoints: Sequence[float] | None = None,
-) -> ValueWithError:
+    breakpoints: Sequence | None = None,
+) -> ValueWithError | list:
     """Integral of ``f`` over ``domain`` and its error bound, to the tolerances in ``cfg``.
 
     ``f`` maps a 1-D array of n points to the array of its n values there,
@@ -231,48 +290,43 @@ def integrate(
     on, for known sharp peaks or kinks; those outside the open domain are
     ignored.
 
+    Batch form: ``domain`` is a sequence of (a, b) and ``breakpoints`` None
+    or one breakpoint sequence (or None) per domain.  The integrals run in
+    lockstep: each pass calls ``f`` once with a list of one node array per
+    integral, empty once it has closed, and ``f`` returns the list of its
+    value arrays.  Each integral keeps the panels, tolerance and budget of
+    its lone call, and the result lists, for each, bit for bit the lone
+    call's result or the ``NonConvergence`` or ``NonFinite`` it raises.
+    A lone call is a batch of one.
+
     Raises
     ------
     ValueError
-        If the domain is not a finite a < b.
+        If a domain is not a finite a < b.
     NonConvergence
         If some component's error still exceeds its ``tol`` with
-        ``cfg.max_subdivisions`` panels in use.
+        ``cfg.max_subdivisions`` panels in use (lone call only).
     NonFinite
-        If ``f`` evaluates to NaN or +-inf anywhere it is sampled.
+        If ``f`` evaluates to NaN or +-inf anywhere it is sampled (lone
+        call only).
     """
-    a, b = float(domain[0]), float(domain[1])
-    if not -math.inf < a < b < math.inf:
-        raise ValueError(f"integration domain ({a}, {b}) is not a finite a < b")
-    inner = sorted(p for p in set(breakpoints or ()) if a < p < b)
-    vector, panels = _panels(f, np.array([a, *inner]), np.array([*inner, b]))
-    k = (len(panels) - 2) // 2
-    while True:
-        value, err = panels[2 : 2 + k].sum(axis=1), panels[2 + k :].sum(axis=1)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
-        if (err <= tol).all():
-            if vector:
-                return ValueWithError(value, err)
-            return ValueWithError(float(value[0]), float(err[0]))
-        count = panels.shape[1]
-        room = cfg.max_subdivisions - count
-        if room <= 0:
-            worst = int(np.argmax(err / tol))
-            raise NonConvergence(
-                f"quadrature error {err[worst]:.3e} exceeds tolerance for value {value[worst]:.6e}"
-                + (f" (component {worst})" if vector else "")
-                + f" on ({a:.6g}, {b:.6g})",
-                worst if vector else None,
-            )
-        over = panels[2 + k :] > (tol / count)[:, None]
-        split = np.flatnonzero(over.any(axis=0))
-        # past the panel budget, the worst panels (relative to tol) go first
-        worst = (panels[2 + k :, split] / tol[:, None]).max(axis=0)
-        split = split[np.argsort(-worst, kind="stable")[:room]]
-        lo, hi = panels[0, split], panels[1, split]
-        mid = 0.5 * (lo + hi)
-        new = _panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)))[1]
-        panels = np.concatenate((np.delete(panels, split, axis=1), new), axis=1)
+    if np.ndim(domain) == 2:
+        return _run_batch(f, domain, cfg, breakpoints or [None] * len(domain))
+    (result,) = _run_batch(lambda xs: (f(xs[0]),), [domain], cfg, [breakpoints])
+    if isinstance(result, NumericsError):
+        raise result
+    return result
+
+
+def _run_batch(f: Callable, domains, cfg: QuadratureConfig, breakpoints) -> list:
+    """The results of :func:`integrate`'s batch form, one pass of ``f`` per loop."""
+    batch = [_Integral(d, points) for d, points in zip(domains, breakpoints)]
+    while any(i.result is None for i in batch):
+        values = f([_NO_NODES if i.result is not None else i.x.ravel() for i in batch])
+        for i, fx in zip(batch, values):
+            if i.result is None:
+                i.absorb(fx, cfg)
+    return [i.result for i in batch]
 
 
 _FORWARD_STENCILS = {

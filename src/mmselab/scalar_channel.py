@@ -38,6 +38,7 @@ from .numerics import (
     DIVERGENCE_QUADRATURE,
     DerivativeEstimate,
     NonConvergence,
+    NumericsError,
     QuadratureConfig,
     _check_snr,
     _in_range,
@@ -92,62 +93,96 @@ def conditional_mean(ch: ScalarChannel, y):
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 
-def _channel_integrals(src: ScalarSource, parts, cfg: QuadratureConfig) -> list:
-    """Values of ``parts``, (quantity, q) pairs of one law, from one integral over y.
+def _channel_integrals(src: ScalarSource, parts, cfg: QuadratureConfig, *, per_q=False) -> list:
+    """Values of ``parts``, (quantity, q) pairs of one law, from one batch of integrals over y.
 
     A quantity is ``"mmse"`` or ``"nongaussianity"``.  Parts at q = 0 take
-    their exact values 1 and 0.  The rest are the components of one vector
-    integral on the domain and breakpoints of the largest q.  The distinct
-    q, however many, go to the kernels as one (m, 1) column, so each
-    output density is evaluated once per y node for all the q and both
-    quantities.  The mmse integrand is cross^2 / p, and the divergence
-    integrand the pointwise-nonnegative ``p ln(p/g) - p + g`` of
-    :func:`nongaussianity`.
+    their exact values 1 and 0.  The rest are the components of vector
+    integrals, run as one :func:`~mmselab.numerics.integrate` batch, each
+    integral on the domain and breakpoints of its largest q: one integral
+    for all of them, or with ``per_q`` one for each distinct q, with the
+    panels, and the values, of its lone call.  Each pass gives the kernels
+    the one integral's nodes with its q as a column, or with ``per_q`` the
+    nodes of every open integral at once, one q per node, so each output
+    density is evaluated once per node and q for both quantities.  The
+    mmse integrand is cross^2 / p, and the divergence integrand the
+    pointwise-nonnegative ``p ln(p/g) - p + g`` of :func:`nongaussianity`.
 
     Raises
     ------
     ValueError
         If the law is not standardized, whatever the q.
     NumericsError
-        If a value lies outside [0, 1/(1+q)] (mmse) or [0, ln(1+q)/2]
-        (divergence) by more than its error bound; a ``NonConvergence``
-        names the law and the q of its worst component.
+        Once every integral has closed, for the first part, in order, whose
+        integral failed or whose value lies outside [0, 1/(1+q)] (mmse) or
+        [0, ln(1+q)/2] (divergence) by more than its error bound; a
+        ``NonConvergence`` names the law and the q of its integral's worst
+        component.
     """
     if not src.is_standard:
         raise ValueError(f"source {src.name!r} is not standardized")
     values = [1.0 if quantity == "mmse" else 0.0 for quantity, _ in parts]
-    live = [i for i, (_, q) in enumerate(parts) if q > 0.0]
-    if not live:
+    integrals = {}  # integral key -> indices of its parts, in order
+    for i, (_, q) in enumerate(parts):
+        if q > 0.0:
+            integrals.setdefault(q if per_q else None, []).append(i)
+    if not integrals:
         return values
-    qs = sorted({parts[i][1] for i in live})
-    picks = [(parts[i][0], qs.index(parts[i][1])) for i in live]  # (quantity, row of its q)
-    quantities = {quantity for quantity, _ in picks}
-    q_col = np.array(qs)[:, None]
-    var = 1.0 + q_col
-    log_norm = np.array([[-0.5 * math.log(2.0 * math.pi * v)] for v in var[:, 0]])
+    members = list(integrals.values())
+    qs = [sorted({parts[i][1] for i in member}) for member in members]
+    live = {parts[i][0] for member in members for i in member}
+    kinds = [kind for kind in ("mmse", "nongaussianity") if kind in live]
+    picks = [  # the (quantity, q) rows of each integral's components in its block of terms
+        (
+            np.array([kinds.index(parts[i][0]) for i in member]),
+            np.array([rows.index(parts[i][1]) for i in member]),
+        )
+        for member, rows in zip(members, qs)
+    ]
+    row_q = np.array([q for rows in qs for q in rows])  # one q per integral with per_q
+    row_log_norm = np.array([-0.5 * math.log(2.0 * math.pi * (1.0 + q)) for q in row_q.tolist()])
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        p = src.output_density(y, q_col)
-        terms = {}
-        if "mmse" in quantities:
-            a = src.cross_density(y, q_col)
-            terms["mmse"] = np.divide(a * a, p, out=np.zeros_like(p), where=p >= _P_FLOOR)
-        if "nongaussianity" in quantities:
+    def integrand(ys: list) -> list:
+        if per_q:  # every open integral's nodes, one q per node
+            sizes = [y.size for y in ys]
+            y = np.concatenate(ys)
+            q, log_norm = np.repeat(row_q, sizes), np.repeat(row_log_norm, sizes)
+        else:  # the one integral's nodes at each of its q
+            (y,) = ys
+            q, log_norm = row_q[:, None], row_log_norm[:, None]
+        p = src.output_density(y, q)
+        terms = []
+        if "mmse" in kinds:
+            a = src.cross_density(y, q)
+            terms.append(np.divide(a * a, p, out=np.zeros_like(p), where=p >= _P_FLOOR))
+        if "nongaussianity" in kinds:
             # log-ratio form: the matched Gaussian may underflow on the wide
             # domains needed for slowly decaying output tails; where p is
             # below the floor, ln p = -inf makes the term g
             log_p = np.log(p, out=np.full_like(p, -np.inf), where=p >= _P_FLOOR)
-            terms["nongaussianity"] = kl_integrand_from_logs(log_p, log_norm - 0.5 * y * y / var)
-        return np.stack([terms[quantity][r] for quantity, r in picks])
+            terms.append(kl_integrand_from_logs(log_p, log_norm - 0.5 * y * y / (1.0 + q)))
+        terms = np.stack(terms).reshape(len(kinds), -1)  # node by node, q row by q row
+        out, start = [], 0
+        for node, rows, pick in zip(ys, qs, picks):
+            stop = start + len(rows) * node.size
+            out.append(terms[:, start:stop].reshape(len(kinds), len(rows), node.size)[pick])
+            start = stop
+        return out
 
-    domain, breakpoints = src.output_panels(qs[-1])
-    try:
-        est, err = integrate(integrand, domain, cfg, breakpoints=breakpoints)
-    except NonConvergence as exc:
-        quantity, q = parts[live[exc.component]]
-        raise NonConvergence(f"{quantity} of law {src.name!r} at q={q!r}: {exc}") from exc
-    for i, v, e in zip(live, np.atleast_1d(est), np.atleast_1d(err)):
-        quantity, q = parts[i]
+    domains, breakpoints = zip(*(src.output_panels(rows[-1]) for rows in qs))
+    results = integrate(integrand, domains, cfg, breakpoints=breakpoints)
+    at = {i: (j, c) for j, member in enumerate(members) for c, i in enumerate(member)}
+    for i, (quantity, q) in enumerate(parts):
+        if i not in at:
+            continue
+        j, c = at[i]
+        result = results[j]
+        if isinstance(result, NonConvergence):
+            quantity, q = parts[members[j][result.component]]
+            raise NonConvergence(f"{quantity} of law {src.name!r} at q={q!r}: {result}") from result
+        if isinstance(result, NumericsError):
+            raise result
+        v, e = result.value[c], result.error[c]
         if quantity == "mmse":
             values[i] = _in_range("mmse", 1.0 - v, e, src.name, f"q={q!r}", gaussian_mmse(q))
         else:

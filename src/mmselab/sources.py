@@ -113,6 +113,10 @@ class ScalarSource:
     pdf: Callable | None = None
     support: tuple = ()
     _moments: tuple = field(default=(), repr=False)
+    # a mixture's (3, components) table of weights, means and sigmas, and
+    # its normalized cumulative weights, built once for the kernel and sampler
+    _mix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("mixture", "uniform", "exponential", "custom"):
@@ -123,6 +127,11 @@ class ScalarSource:
                 raise ValueError("mixture weights must be >= 0 and sum to 1")
             if any(c[2] < 0 for c in self.components):
                 raise ValueError("mixture sigmas must be >= 0")
+            table = np.array(self.components).T
+            cdf = np.cumsum(table[0])
+            cdf /= cdf[-1]
+            object.__setattr__(self, "_mix", table)
+            object.__setattr__(self, "_cdf", cdf)
         if self.kind == "custom":
             lo, hi = self.support if len(self.support) == 2 else (math.nan, math.nan)
             if not (callable(self.pdf) and -math.inf < lo < hi < math.inf):
@@ -201,12 +210,10 @@ class ScalarSource:
             # the components as rng.choice(len(w), n, p=w) draws them, one
             # uniform per draw against the normalized cdf, with a comparison
             # per component in place of its binary search: the same stream
-            w, mu, s = np.array(self.components).T
-            cdf = np.cumsum(w)
-            cdf /= cdf[-1]
+            _, mu, s = self._mix
             u = rng.random(n)
             idx = np.zeros(n, dtype=np.intp)
-            for edge in cdf[:-1]:
+            for edge in self._cdf[:-1]:
                 idx += u >= edge
             x = rng.standard_normal(n)
             x *= s[idx]
@@ -230,9 +237,12 @@ class ScalarSource:
 
         q is a float, or an (m, 1) array of positive values with a 1-D y,
         which gives an (m, y.size) array: row i is the call with q[i, 0]
-        alone, bit for bit.  This and :meth:`cross_density` are entry
-        points of one per-kind body, in which a float q is a one-row column
-        and one evaluation gives both densities.
+        alone, to rounding.  Or q is an array of positive values with the
+        shape of y, one q per point: each run of consecutive points with
+        one q has the values, bit for bit, of the call with that q on that
+        run alone.  This and :meth:`cross_density` are entry points of one
+        per-kind body, in which a float q is a one-row column and one
+        evaluation gives both densities.
         """
         return self._kernel(y, q, cross=False)
 
@@ -245,45 +255,55 @@ class ScalarSource:
         return self._kernel(y, q, cross=True, with_p=False)
 
     def _kernel(self, y, q, cross: bool, with_p: bool = True):
-        """The output density p at y, or with ``cross`` the pair (p, cross density), for a q column.
+        """The output density p at y, or with ``cross`` the pair (p, cross density), for each q.
 
-        One evaluation gives both densities, each bit for bit the value of
-        its lone call; with ``with_p`` false it gives the cross density
-        alone.  At q = 0 every kind gives phi(y), and EX phi(y) for the
-        cross density.  Otherwise each kind forms p on the (m, y.size) grid
-        of q rows and points, and the cross density from the values behind
-        it: a mixture weights each Gaussian component's density by its
+        q is as in :meth:`output_density`.  One evaluation gives both
+        densities, each bit for bit the value of its lone call; with
+        ``with_p`` false it gives the cross density alone.  At q = 0 every
+        kind gives phi(y), and EX phi(y) for the cross density.  Otherwise
+        each kind forms p on the grid of q rows and points (one row, with
+        one q per point), and the cross density from the values behind it:
+        a mixture weights each Gaussian component's density by its
         posterior mean, the uniform law reuses its ``ndtr`` difference and
         the exponential law takes p's score identity.  A custom law
-        integrates each density by a tensor rule of its own, and p's only
-        when it is returned.
+        integrates each density by tensor rules of its own, and p's only
+        when it is returned.  A run of points that share a per-point q is
+        a call of its own: a mixture sums its components in one BLAS
+        product per run, as such a product may round its last few points
+        its own way, and a custom law takes one tensor rule per run.
         """
         y = np.asarray(y, dtype=float)
-        shape = y.shape if np.ndim(q) == 0 else (len(q),) + y.shape
-        q = np.asarray(q, dtype=float).reshape(-1, 1)
-        if q.size == 1 and q[0, 0] == 0.0:
-            p = _phi(y).reshape(shape)
-            a = self._moments[0] * p
-            return (p, a) if cross and with_p else (a if cross else p)
+        q = np.asarray(q, dtype=float)
+        if q.ndim and q.shape == y.shape:  # a row of one q per point
+            shape = y.shape
+            q = q.reshape(1, -1)
+        else:
+            shape = y.shape if q.ndim == 0 else (len(q),) + y.shape
+            q = q.reshape(-1, 1)
+            if q.size == 1 and q[0, 0] == 0.0:
+                p = _phi(y).reshape(shape)
+                a = self._moments[0] * p
+                return (p, a) if cross and with_p else (a if cross else p)
         sq = np.sqrt(q)
         y = y.reshape(-1)
         if self.kind == "mixture":
             # one (m, y.size) slab per component, formed in place, so a bulk
             # call holds one value per point, q and component
-            w, mu, s = np.array(self.components).T[:, :, None, None]
+            w, mu, s = self._mix[:, :, None, None]
             var = 1.0 + q * s * s
             t = sq * mu - y  # squared below: the sign does not matter
             np.square(t, t)
             np.divide(t, -2.0 * var, t)
             np.exp(t, t)
             np.divide(t, np.sqrt(2.0 * math.pi * var), t)
-            p = np.dot(w[:, 0, 0], t.reshape(w.size, -1))
+            runs = _runs(q)
+            p = _component_sum(w[:, 0, 0], t, runs)
             if cross:  # times the posterior mean (mu + sqrt(q) sigma^2 y) / var
                 post = (sq * s * s) * y
                 np.add(post, mu, post)
                 np.divide(post, var, post)
                 np.multiply(post, t, post)  # into post: into t took 20% longer
-                a = np.dot(w[:, 0, 0], post.reshape(w.size, -1))
+                a = _component_sum(w[:, 0, 0], post, runs)
         elif self.kind == "uniform":
             lo, hi = self.params
             v1, v2 = y - sq * hi, y - sq * lo
@@ -386,30 +406,58 @@ def _pdf_values(pdf: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([pdf(v) for v in x.tolist()], dtype=float)
 
 
-def _custom_kernel(src: ScalarSource, y: np.ndarray, q: np.ndarray, cross: bool) -> np.ndarray:
-    """A custom law's output density (cross density with ``cross``) at the 1-D y, one row per q.
+def _runs(q: np.ndarray) -> list | None:
+    """(start, stop) of each run of points that share a q in a (1, n) row of per-point q.
 
-    The kernel body's ``custom`` case: q is a column of positive values,
-    and each row is a tensor rule.  The sorted points go in chunks at most
-    8 TAIL_WIDTH wide and ``_CHUNK_POINTS`` long, the same for every row.
-    Each chunk takes one vector integral over the x window its points
-    see, the support cut to [y_min - TAIL_WIDTH, y_max + TAIL_WIDTH] /
-    sqrt(q), with the support ends and 0 as breakpoints, so the pdf is
-    called once per x node for the whole chunk.  The components are
-    pdf phi for every point, or (x+) pdf phi and (x-) pdf phi, whose
-    difference is the cross density.  All are nonnegative, so
-    ``_KERNEL_QUADRATURE`` gives each point relative accuracy, in the
-    output tails and where the cross density changes sign.  The width cap
-    keeps the window narrow at high q, where phi(y - sqrt(q) x) is a
-    spike in x; the length cap bounds the (components, nodes) block of a
-    pass.
+    None for an (m, 1) column, each of whose q takes every point.
+    """
+    if q.shape[0] > 1 or q.size == 1:
+        return None
+    cuts = (np.flatnonzero(q[0, 1:] != q[0, :-1]) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, q.size]))
+
+
+def _component_sum(w: np.ndarray, slabs: np.ndarray, runs: list | None) -> np.ndarray:
+    """The weighted sum of the (components, ...) ``slabs``: one product, or one per run."""
+    slabs = slabs.reshape(w.size, -1)
+    if runs is None:
+        return np.dot(w, slabs)
+    return np.concatenate([np.dot(w, slabs[:, i:j]) for i, j in runs])
+
+
+def _custom_kernel(src: ScalarSource, y: np.ndarray, q: np.ndarray, cross: bool) -> np.ndarray:
+    """A custom law's output density (cross density with ``cross``) at the 1-D y, for each q.
+
+    The kernel body's ``custom`` case: q is an (m, 1) column of positive
+    values, each taking every point (an (m, y.size) result), or a (1,
+    y.size) row of one positive q per point (a y.size result).  Each row
+    of a column, and each run of points that share a q in a row, is a
+    tensor rule of its own.  Its sorted points go in
+    chunks at most 8 TAIL_WIDTH wide and ``_CHUNK_POINTS`` long.  Each
+    chunk takes one vector integral over the x window its points see, the
+    support cut to [y_min - TAIL_WIDTH, y_max + TAIL_WIDTH] / sqrt(q), with
+    the support ends and 0 as breakpoints, so the pdf is called once per x
+    node for the whole chunk.  The components are pdf phi for every point,
+    or (x+) pdf phi and (x-) pdf phi, whose difference is the cross
+    density.  All are nonnegative, so ``_KERNEL_QUADRATURE`` gives each
+    point relative accuracy, in the output tails and where the cross
+    density changes sign.  The width cap keeps the window narrow at high
+    q, where phi(y - sqrt(q) x) is a spike in x; the length cap bounds the
+    (components, nodes) block of a pass.
     """
     lo, hi = src.support
-    order = np.argsort(y, kind="stable")
-    ends = np.searchsorted(y[order], y[order] + 8.0 * TAIL_WIDTH, side="right")
-    ends = np.minimum(ends, np.arange(y.size) + _CHUNK_POINTS)
-    out = np.zeros((len(q), 2 if cross else 1, y.size))
-    for row, sq in zip(out, np.sqrt(q[:, 0]).tolist()):
+    runs = _runs(q)
+    if runs is None:  # each q of a column at every point
+        pieces = [(qv, y) for qv in q[:, 0].tolist()]
+    else:
+        pieces = [(q[0, i], y[i:j]) for i, j in runs]
+    values = []
+    for qv, y in pieces:
+        sq = math.sqrt(qv)
+        order = np.argsort(y, kind="stable")
+        ends = np.searchsorted(y[order], y[order] + 8.0 * TAIL_WIDTH, side="right")
+        ends = np.minimum(ends, np.arange(y.size) + _CHUNK_POINTS)
+        out = np.zeros((2 if cross else 1, y.size))
         start = 0
         while start < y.size:
             chunk = order[start : ends[start]]
@@ -426,8 +474,9 @@ def _custom_kernel(src: ScalarSource, y: np.ndarray, q: np.ndarray, cross: bool)
                 return v
 
             parts = integrate(f, (a, b), _KERNEL_QUADRATURE, breakpoints=(lo, 0.0, hi)).value
-            row[:, chunk] = parts.reshape(len(row), chunk.size)
-    return out[:, 0] - out[:, 1] if cross else out[:, 0]
+            out[:, chunk] = parts.reshape(len(out), chunk.size)
+        values.append(out[0] - out[1] if cross else out[0])
+    return np.concatenate(values).reshape(len(q), -1)
 
 
 # -- constructors ---------------------------------------------------------

@@ -1,20 +1,27 @@
+import argparse
 import csv
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmselab import tone_channel
+from mmselab import cli, scalar_channel, tone_channel
 from mmselab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _quad_cfg,
+    cmd_scalar,
     main,
     parse_n_list,
     parse_q_grid,
     render_rows,
 )
+from mmselab.numerics import NonConvergence, NumericsError, QuadratureConfig
+from mmselab.sources import parse_source
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -453,3 +460,106 @@ def test_flags_that_enter_no_formula_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_CONFIG
+
+
+# -- the scalar grid in integral batches ---------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _sweep_specs():
+    # the 14 law specs of a scalar-sweep round of the benchmark (seed 1, round 0)
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    calls = workloads.round_calls("scalar-sweep", 1, 0)
+    return [(call.argv[2], call.argv[4]) for call in calls if call.kind == "cli"]
+
+
+def _readme_scalar_lines():
+    lines = [line.split() for line in README.read_text().splitlines()]
+    return [
+        (words[words.index("--source") + 1], words[words.index("--q-grid") + 1])
+        for words in lines
+        if words[:4] == ["python", "-m", "mmselab.cli", "scalar"]
+    ]
+
+
+def _bits(run):
+    # the hex of each (mmse, D) pair, or the failure's type and message
+    try:
+        return [tuple(float(v).hex() for v in pair) for pair in run()]
+    except NumericsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _per_q_pairs(src, grid, cfg):
+    return [
+        scalar_channel._channel_integrals(src, [("mmse", q), ("nongaussianity", q)], cfg)
+        for q in grid
+    ]
+
+
+SWEEP_SPECS = _sweep_specs()
+
+
+@pytest.mark.parametrize("spec, grid", SWEEP_SPECS + _readme_scalar_lines())
+def test_scalar_rows_are_the_per_q_pairs_bit_for_bit(spec, grid):
+    # each q keeps the panels of its own integral inside the batch; an atom
+    # law's failure at q = 1e6 is the per-q loop's failure too
+    args = argparse.Namespace(source=spec, q_grid=grid, tol=1e-9)
+    src, q_grid, cfg = parse_source(spec), parse_q_grid(grid), _quad_cfg(1e-9)
+    rows = lambda: [(row["mmse"], row["nongaussianity"]) for row in cmd_scalar(args)]  # noqa: E731
+    assert _bits(rows) == _bits(lambda: _per_q_pairs(src, q_grid, cfg))
+
+
+def test_scalar_sweep_specs_are_the_round():
+    assert len(SWEEP_SPECS) == 14
+
+
+def test_scalar_failure_names_the_first_failing_q_in_grid_order(monkeypatch, capsys):
+    # at this budget q = 0.1 fails on its third pass and q = 10 on its second,
+    # so the batch sees q = 10 fail first; the per-q loop names q = 0.1
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-18, max_subdivisions=12)
+    src = parse_source("uniform")
+    passes = {}
+    for q in (0.01, 0.1, 10.0):
+        seen = []
+        real = scalar_channel.integrate
+
+        def counted(f, *args, **kwargs):
+            return real(lambda ys: seen.append(1) or f(ys), *args, **kwargs)
+
+        monkeypatch.setattr(scalar_channel, "integrate", counted)
+        try:
+            scalar_channel._channel_integrals(src, [("mmse", q), ("nongaussianity", q)], cfg)
+            passes[q] = None
+        except NonConvergence:
+            passes[q] = len(seen)
+        monkeypatch.undo()
+    assert passes[0.01] is None and passes[0.1] > passes[10.0]
+    expected = _bits(lambda: _per_q_pairs(src, (0.01, 0.1, 10.0), cfg))
+    assert expected[0] == "NonConvergence" and "at q=0.1:" in expected[1]
+    monkeypatch.setattr(cli, "_quad_cfg", lambda tol: cfg)
+    assert main(["scalar", "--source", "uniform", "--q-grid", "0.01,0.1,10"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {expected[1]}\n"
+
+
+def test_scalar_grid_goes_in_bounded_batches(monkeypatch):
+    # a long grid never holds all its integrals at once
+    batches = []
+    real = scalar_channel._channel_integrals
+
+    def counted(src, parts, cfg, **kwargs):
+        batches.append(len(parts) // 2)
+        return real(src, parts, cfg, **kwargs)
+
+    monkeypatch.setattr(scalar_channel, "_channel_integrals", counted)
+    grid = "1e-2:1e2:150:log"
+    args = argparse.Namespace(source="gaussian", q_grid=grid, tol=1e-9)
+    rows = cmd_scalar(args)
+    assert [row["q"] for row in rows] == list(parse_q_grid(grid))
+    assert batches == [cli._GRID_BATCH, cli._GRID_BATCH, 150 - 2 * cli._GRID_BATCH]

@@ -64,6 +64,19 @@ def test_scipy_special_loads_only_in_the_kernels_that_evaluate_it(argv, loads):
     assert _last_line_of_fresh_interpreter(code) == f"0 {loads}"
 
 
+def test_cli_import_loads_numpy_and_the_standard_library_only():
+    # the modules a fresh interpreter has loaded before the import (site
+    # hooks among them) are not the package's; every one the import adds is
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mmselab.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'numpy', 'mmselab'}))\n"
+    )
+    assert _last_line_of_fresh_interpreter(code) == "[]"
+
+
 def test_every_export_resolves():
     for info in pkgutil.iter_modules(mmselab.__path__):
         module = importlib.import_module(f"mmselab.{info.name}")

@@ -154,6 +154,115 @@ def test_vector_nonconvergence_names_the_component():
     assert info.value.component is None
 
 
+# -- the batch form of integrate -------------------------------------------
+
+
+def _bump_family(centre, width, vector):
+    """A Gaussian bump on a Laplace kink, or the pair (bump, y^2 bump) as a vector integrand."""
+
+    def f(y):
+        bump = np.exp(-0.5 * ((y - centre) / width) ** 2) + _laplace(y - 0.5 * centre)
+        return np.stack((bump, y * y * bump)) if vector else bump
+
+    return f
+
+
+def _outcome(result):
+    # a result's bits, or a failure's type and message
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    value, error = result
+    return np.asarray(value).tobytes(), np.asarray(error).tobytes(), type(value)
+
+
+def _lone(f, domain, cfg, breakpoints):
+    # the lone call's result or failure, and the node count of each of its passes
+    sizes = []
+
+    def counted(y):
+        sizes.append(y.size)
+        return f(y)
+
+    try:
+        return integrate(counted, domain, cfg, breakpoints=breakpoints), sizes
+    except (NonConvergence, NonFinite) as exc:
+        return exc, sizes
+
+
+_MEMBER = st.tuples(
+    st.floats(-12.0, 0.0),  # a
+    st.floats(0.5, 30.0),  # b - a
+    st.floats(-5.0, 5.0),  # bump centre
+    st.floats(0.01, 2.0),  # bump width
+    st.booleans(),  # vector integrand
+    st.booleans(),  # breakpoints at the bump and the kink
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.lists(_MEMBER, min_size=1, max_size=6),
+    budget=st.sampled_from((3, 12, 200)),
+)
+def test_batch_members_are_their_lone_calls_bit_for_bit(members, budget):
+    # each member keeps its domain, breakpoints, panels, tolerance and
+    # budget: its value and error bound, or its failure, are the lone call's
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-16, max_subdivisions=budget)
+    fs, domains, breakpoints = [], [], []
+    for a, length, centre, width, vector, kinks in members:
+        fs.append(_bump_family(centre, width, vector))
+        domains.append((a, a + length))
+        kinks = (centre - 8 * width, centre, centre + 8 * width, 0.5 * centre) if kinks else None
+        breakpoints.append(kinks)
+    passes = []
+
+    def batch_f(ys):
+        passes.append([y.size for y in ys])
+        return [f(y) for f, y in zip(fs, ys)]
+
+    results = integrate(batch_f, domains, cfg, breakpoints=breakpoints)
+    assert len(results) == len(members)
+    sizes = np.array(passes)  # (passes, members): each member's nodes in each pass
+    for f, domain, points, result, member in zip(fs, domains, breakpoints, results, sizes.T):
+        lone, lone_sizes = _lone(f, domain, cfg, points)
+        assert _outcome(result) == _outcome(lone)
+        # the same nodes pass by pass, and none once the member has closed
+        assert member.tolist() == lone_sizes + [0] * (len(passes) - len(lone_sizes))
+
+
+def test_batch_member_over_its_budget_fails_alone():
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-18, max_subdivisions=2)
+    rough = lambda y: abs(y - math.pi / 7) ** 0.2  # noqa: E731
+    fs = [lambda y: y * y, rough, lambda y: np.stack((y, 1.0 + 0.0 * y))]
+    domains = [(0.0, 1.0), (0.0, 3.0), (-1.0, 2.0)]
+    results = integrate(lambda ys: [f(y) for f, y in zip(fs, ys)], domains, cfg)
+    assert results[0] == integrate(fs[0], domains[0], cfg)
+    assert _outcome(results[2]) == _outcome(integrate(fs[2], domains[2], cfg))
+    failed = results[1]
+    assert isinstance(failed, NonConvergence) and failed.component is None
+    assert str(failed).endswith("on (0, 3)")
+    with pytest.raises(NonConvergence) as info:
+        integrate(rough, domains[1], cfg)
+    assert str(info.value) == str(failed)
+
+
+def test_batch_nonfinite_names_its_node():
+    bad = lambda y: np.where(y == 0.0, np.nan, 1.0)  # noqa: E731
+    fs = [normal_pdf, bad, bad]
+    domains = [(-8.0, 8.0), (-1.0, 1.0), (-3.0, 1.0)]
+    results = integrate(lambda ys: [f(y) for f, y in zip(fs, ys)], domains)
+    assert results[0] == integrate(normal_pdf, domains[0])
+    assert isinstance(results[1], NonFinite)
+    assert str(results[1]) == "integrand returned nan at x=0.0"
+    # the centre node of (-3, 1) is -1: its first pass never samples 0
+    assert results[2] == integrate(bad, domains[2])
+
+
+def test_batch_rejects_a_bad_domain():
+    with pytest.raises(ValueError, match=r"\(1.0, 1.0\) is not a finite a < b"):
+        integrate(lambda ys: ys, [(0.0, 1.0), (1.0, 1.0)])
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("step", [0.2, 0.05])
 def test_derivative_nodes_are_the_q_the_tableau_requests(order, step):

@@ -389,7 +389,9 @@ def test_mmse_never_exceeds_the_gaussian_error(src, q):
 def test_out_of_range_integral_raises(monkeypatch, value):
     # each value puts both mmse = 1 - value and D = value outside their bounds
     # at q = 1, [0, 1/2] and [0, ln(2)/2], by far more than the error 1e-12
-    fake = lambda *args, **kwargs: ValueWithError(value, 1e-12)  # noqa: E731
+    # the batch form of integrate: one result per domain
+    result = ValueWithError(np.array([value]), np.array([1e-12]))
+    fake = lambda f, domains, *args, **kwargs: [result] * len(domains)  # noqa: E731
     monkeypatch.setattr(scalar_channel, "integrate", fake)
     ch = ScalarChannel(rademacher(), 1.0)
     with pytest.raises(NumericsError, match=r"mmse .* law 'rademacher' at q=1\.0"):
@@ -447,8 +449,8 @@ def test_derivatives_make_one_integral(monkeypatch, src):
     monkeypatch.setattr(scalar_channel, "integrate", counted)
     divergence_derivatives_at_zero(src)
     assert len(calls) == 1
-    # on the domain of the largest stencil q
-    assert calls[0] == src.output_panels(4 * scalar_channel._DERIVATIVE_STEP)[0]
+    # a batch of one, on the domain of the largest stencil q
+    assert calls[0] == (src.output_panels(4 * scalar_channel._DERIVATIVE_STEP)[0],)
 
 
 def test_stencil_nonconvergence_names_the_law_and_the_q(monkeypatch):

@@ -314,6 +314,41 @@ def test_q_column_custom_kernels_match_the_per_q_calls():
             assert row.tobytes() == kernel(y, float(q)).tobytes(), (kernel.__name__, q)
 
 
+_TRIANGLE = sources.custom_source(
+    lambda x: max(0.0, (1.0 - abs(x) / math.sqrt(6.0)) / math.sqrt(6.0)),
+    (-math.sqrt(6.0), math.sqrt(6.0)),
+    name="triangle",
+)
+
+
+@pytest.mark.parametrize(
+    "src", builtin_sources() + (_TRIANGLE,), ids=lambda src: f"{src.kind}-{src.name}"
+)
+def test_per_point_q_kernels_are_the_one_q_calls_bit_for_bit(src):
+    # one q per point, the form of the scalar grid's integral batches: each
+    # run of points that share a q has the values of the call with that q
+    # on that run alone (a mixture's BLAS sum rounds the last few points
+    # of a product its own way, so a run is a product of its own)
+    rng = np.random.default_rng(7)
+    y = np.concatenate((np.linspace(-40.0, 40.0, 61), [-1e3, 0.0, 1e3]))
+    runs = np.cumsum(rng.integers(1, 12, size=12))
+    runs = [0, *runs[runs < y.size].tolist(), y.size]
+    qs = [1e-3, 0.05, 1.0, 1e4, 1e6, 0.05, 3.0]  # neighbours differ
+    q = np.concatenate([np.full(j - i, qs[k % 7]) for k, (i, j) in enumerate(zip(runs, runs[1:]))])
+    p, a = src._kernel(y, q, cross=True)
+    assert p.shape == a.shape == y.shape
+    assert src.output_density(y, q).tobytes() == p.tobytes()
+    assert src.cross_density(y, q).tobytes() == a.tobytes()
+    for i, j in zip(runs, runs[1:]):
+        for got, kernel in ((p, src.output_density), (a, src.cross_density)):
+            lone = kernel(y[i:j], float(q[i]))
+            assert got[i:j].tobytes() == lone.tobytes(), (kernel.__name__, q[i], i, j)
+    # a 2-D y takes a q of its shape, point by point in its flat order
+    n = runs[4]  # the first four runs, 36 points
+    grid = y[:n].reshape(6, -1)
+    assert src.output_density(grid, q[:n].reshape(6, -1)).tobytes() == p[:n].tobytes()
+
+
 def test_exponential_end_is_an_output_step():
     # the finite end loc of loc + s Exp(1) gets the breakpoints of a uniform end
     src = expstd()
