@@ -5,7 +5,8 @@ randomness, bit-identical outputs for identical inputs.  Integration is
 globally adaptive bisection with the 21-point Gauss-Kronrod rule and error
 estimate of QUADPACK (Piessens et al., 1983) per panel, on array
 integrands, scalar or vector-valued (one panel set for all components),
-one integral at a time or a batch of them in lockstep.
+one integral at a time or a batch of them in lockstep, whose passes run the
+panel rule once on the stacked panels of every open integral.
 Differentiation at the left endpoint of ``[0, q_max]`` uses one-sided
 finite differences on a geometric step schedule with a Richardson/Ridders
 extrapolation tableau.
@@ -187,7 +188,7 @@ class _Integral:
     ``NonConvergence`` or ``NonFinite`` it failed with.
     """
 
-    __slots__ = ("a", "b", "rows", "lo", "hi", "half", "x", "result")
+    __slots__ = ("a", "b", "rows", "lo", "hi", "half", "x", "vector", "result")
 
     def __init__(self, domain: tuple, breakpoints: Sequence[float] | None) -> None:
         a, b = float(domain[0]), float(domain[1])
@@ -202,34 +203,27 @@ class _Integral:
         self.half = 0.5 * (hi - lo)
         self.x = (0.5 * (lo + hi))[:, None] + self.half[:, None] * _NODES
 
-    def absorb(self, fx, cfg: QuadratureConfig) -> None:
-        """Take the integrand's values ``fx`` at ``x``, then close the integral or bisect.
+    def take(self, fx) -> np.ndarray:
+        """The integrand's values ``fx`` at ``x``, one row of 21 per component and panel.
 
-        A panel's value is the Kronrod one; its error is QUADPACK's estimate
-        ``resasc * min(1, (200 |K - G| / resasc)^1.5)``, floored at 50 eps
-        of the panel's integral of ``|f|``.  Past the panel budget, the
-        worst panels (relative to ``tol``) are bisected first.
+        Notes whether the integrand is vector-valued, for :meth:`step`.
         """
         fx = np.asarray(fx, dtype=float)
-        vector = fx.ndim == 2
-        fx = fx.reshape(-1, _NODES.size)  # one row per component and panel
-        if not np.isfinite(fx).all():
-            row, node = np.argwhere(~np.isfinite(fx))[0]
-            at = float(self.x[row % len(self.lo), node])
-            self.result = NonFinite(f"integrand returned {float(fx[row, node])!r} at x={at!r}")
-            return
-        kronrod, gauss = (fx @ _WEIGHTS).T
-        dev = fx - 0.5 * kronrod[:, None]
-        np.abs(dev, out=dev)
-        resasc = dev @ _KRONROD
-        np.abs(fx, out=dev)
-        resabs = dev @ _KRONROD
-        diff = np.abs(kronrod - gauss)
-        scaled = resasc > 0
-        ratio = 200.0 * diff
-        np.divide(ratio, resasc, out=ratio, where=scaled)
-        err = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), diff)
-        np.maximum(err, _EPS50 * resabs, out=err)
+        self.vector = fx.ndim == 2
+        return fx.reshape(-1, _NODES.size)
+
+    def fail_nonfinite(self, fx: np.ndarray) -> None:
+        """Fail the integral at the first value of the rows ``fx`` that is not finite."""
+        row, node = np.argwhere(~np.isfinite(fx))[0]
+        at = float(self.x[row % len(self.lo), node])
+        self.result = NonFinite(f"integrand returned {float(fx[row, node])!r} at x={at!r}")
+
+    def step(self, kronrod: np.ndarray, err: np.ndarray, cfg: QuadratureConfig) -> None:
+        """Keep the new panels' values and error bounds, then close the integral or bisect.
+
+        Past the panel budget, the worst panels (relative to ``tol``) are
+        bisected first.
+        """
         new = np.concatenate((self.lo, self.hi, kronrod, err)).reshape(-1, len(self.lo))
         new[2:] *= self.half
         panels = new if self.rows is None else np.concatenate((self.rows, new), axis=1)
@@ -239,7 +233,7 @@ class _Integral:
         value, err = sums[:k], sums[k:]
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
         if (err <= tol).all():
-            if vector:
+            if self.vector:
                 self.result = ValueWithError(value, err)
             else:
                 self.result = ValueWithError(float(value[0]), float(err[0]))
@@ -250,9 +244,9 @@ class _Integral:
             worst = int(np.argmax(err / tol))
             self.result = NonConvergence(
                 f"quadrature error {err[worst]:.3e} exceeds tolerance for value {value[worst]:.6e}"
-                + (f" (component {worst})" if vector else "")
+                + (f" (component {worst})" if self.vector else "")
                 + f" on ({self.a:.6g}, {self.b:.6g})",
-                worst if vector else None,
+                worst if self.vector else None,
             )
             return
         errs = panels[2 + k :]
@@ -265,6 +259,35 @@ class _Integral:
         lo, hi = panels[:2, split]
         mid = 0.5 * (lo + hi)
         self._open(np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+
+
+def _panel_rule(blocks: list) -> tuple:
+    """Kronrod value and error estimate, per unit length, of each row of 21 values in ``blocks``.
+
+    The error is QUADPACK's ``resasc * min(1, (200 |K - G| / resasc)^1.5)``,
+    floored at 50 eps of the integral of ``|f|``.  The blocks are the rows
+    of the integrals of one pass.  Each block takes its per-node steps
+    alone, as a BLAS product may round a row by the rows around it, and
+    the per-panel steps run once on the stacked panels of all blocks: each
+    row's results are its block's lone ones, bit for bit.
+    """
+    sums = []  # (Kronrod and Gauss sums, resasc, resabs) of each block
+    for fx in blocks:
+        weighted = fx @ _WEIGHTS
+        dev = fx - 0.5 * weighted[:, :1]
+        np.abs(dev, out=dev)
+        resasc = dev @ _KRONROD
+        np.abs(fx, out=dev)
+        sums.append((weighted, resasc, dev @ _KRONROD))
+    weighted, resasc, resabs = sums[0] if len(sums) == 1 else map(np.concatenate, zip(*sums))
+    kronrod, gauss = weighted.T
+    diff = np.abs(kronrod - gauss)
+    scaled = resasc > 0
+    ratio = 200.0 * diff
+    np.divide(ratio, resasc, out=ratio, where=scaled)
+    err = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), diff)
+    np.maximum(err, _EPS50 * resabs, out=err)
+    return kronrod, err
 
 
 def integrate(
@@ -290,13 +313,14 @@ def integrate(
     on, for known sharp peaks or kinks; those outside the open domain are
     ignored.
 
-    Batch form: ``domain`` is a sequence of (a, b) and ``breakpoints`` None
-    or one breakpoint sequence (or None) per domain.  The integrals run in
-    lockstep: each pass calls ``f`` once with a list of one node array per
-    integral, empty once it has closed, and ``f`` returns the list of its
-    value arrays.  Each integral keeps the panels, tolerance and budget of
-    its lone call, and the result lists, for each, bit for bit the lone
-    call's result or the ``NonConvergence`` or ``NonFinite`` it raises.
+    Batch form: ``domain`` is a sequence of (a, b), maybe empty, and
+    ``breakpoints`` None or one breakpoint sequence (or None) per domain.
+    The integrals run in lockstep: each pass calls ``f`` once with a list
+    of one node array per integral, empty once it has closed, and ``f``
+    returns the list of its value arrays (anything, for a closed one).
+    Each integral keeps the panels, tolerance and budget of its lone call,
+    and the result lists, for each, bit for bit the lone call's result or
+    the ``NonConvergence`` or ``NonFinite`` it raises.
     A lone call is a batch of one.
 
     Raises
@@ -310,7 +334,7 @@ def integrate(
         If ``f`` evaluates to NaN or +-inf anywhere it is sampled (lone
         call only).
     """
-    if np.ndim(domain) == 2:
+    if np.ndim(domain) == 2 or not len(domain):  # a batch, maybe of none
         return _run_batch(f, domain, cfg, breakpoints or [None] * len(domain))
     (result,) = _run_batch(lambda xs: (f(xs[0]),), [domain], cfg, [breakpoints])
     if isinstance(result, NumericsError):
@@ -319,14 +343,38 @@ def integrate(
 
 
 def _run_batch(f: Callable, domains, cfg: QuadratureConfig, breakpoints) -> list:
-    """The results of :func:`integrate`'s batch form, one pass of ``f`` per loop."""
+    """The results of :func:`integrate`'s batch form, one pass of ``f`` per loop.
+
+    Each pass runs the panel rule once on the stacked values of every open
+    integral (see :func:`_panel_rule`), then closes or bisects each.
+    """
     batch = [_Integral(d, points) for d, points in zip(domains, breakpoints)]
-    while any(i.result is None for i in batch):
-        values = f([_NO_NODES if i.result is not None else i.x.ravel() for i in batch])
-        for i, fx in zip(batch, values):
-            if i.result is None:
-                i.absorb(fx, cfg)
+    live = batch
+    while live:
+        # one pass's values alive at a time: the next pass's call holds none of them
+        nodes = [_NO_NODES if i.result is not None else i.x.ravel() for i in batch]
+        _absorb(live, [i.take(fx) for i, fx in zip(batch, f(nodes)) if i.result is None], cfg)
+        live = [i for i in batch if i.result is None]
     return [i.result for i in batch]
+
+
+def _absorb(live: Sequence, blocks: Sequence, cfg: QuadratureConfig) -> None:
+    """Step each open integral on its rows of values: a failure if one is not finite."""
+    finite = [np.isfinite(fx).all() for fx in blocks]
+    if not all(finite):
+        for i, fx, ok in zip(live, blocks, finite):
+            if not ok:
+                i.fail_nonfinite(fx)
+        live = [i for i in live if i.result is None]
+        blocks = [fx for fx, ok in zip(blocks, finite) if ok]
+        if not live:
+            return
+    kronrod, err = _panel_rule(blocks)
+    start = 0
+    for i, fx in zip(live, blocks):
+        stop = start + len(fx)
+        i.step(kronrod[start:stop], err[start:stop], cfg)
+        start = stop
 
 
 _FORWARD_STENCILS = {

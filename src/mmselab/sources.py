@@ -12,7 +12,8 @@ Discrete, Gaussian and Gaussian mixture laws are one ``mixture`` kind:
 components (w, mu, sigma) with sigma >= 0, where sigma = 0 is an atom.
 Closed forms are used for every built-in kind; ``custom`` laws take their
 kernels from a tensor rule, one vector-valued quadrature over x for each
-chunk of nearby output points.
+chunk of nearby output points, and keep bounded memos of their pdf values
+and latest output densities.
 
 scipy.special is imported inside the two kernels that evaluate it, the
 ``uniform`` (``ndtr``) and ``exponential`` (``erfcx``, ``ndtr``) branches,
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import TAIL_WIDTH, NumericsError, QuadratureConfig, integrate
+from .numerics import TAIL_WIDTH, NonConvergence, NumericsError, QuadratureConfig, integrate
 
 __all__ = [
     "ZeroVariance",
@@ -64,6 +65,12 @@ _KERNEL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300, max_subdivi
 # (2 x 32, nodes) arrays of a pass; 64 took as long and raised the peak
 # memory of a scalar sweep by 0.5 MB.
 _CHUNK_POINTS = 32
+# Bounds of a custom law's two memos: its pdf's values at this many
+# distinct nodes (about 0.1 KB each), and its latest output densities, this
+# many floats of points and values.  The pdf memo starts over where it
+# would pass its bound; the density memo drops its oldest results.
+_PDF_MEMO_NODES = 1 << 13
+_DENSITY_MEMO_VALUES = 1 << 15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -117,6 +124,10 @@ class ScalarSource:
     # its normalized cumulative weights, built once for the kernel and sampler
     _mix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # a custom law's memos: its pdf's values by the bits of their nodes, and
+    # its recent output densities by the bits of their (q, y)
+    _pdf_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _density_memo: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("mixture", "uniform", "exponential", "custom"):
@@ -139,6 +150,8 @@ class ScalarSource:
                     f"custom law {self.name!r} needs a callable pdf on a finite support"
                     f" (lo, hi) with lo < hi, got pdf {self.pdf!r}, support {self.support!r}"
                 )
+            object.__setattr__(self, "_pdf_memo", {})
+            object.__setattr__(self, "_density_memo", [])
         if not self._moments:
             object.__setattr__(self, "_moments", self._raw_moments())
 
@@ -169,14 +182,17 @@ class ScalarSource:
         powers = np.arange(1, 5)[:, None]
 
         def f(x):
-            p = _pdf_values(self.pdf, x)
+            p = _pdf_values(self, x)
             if (p < 0.0).any():
                 i = int(np.argmax(p < 0.0))
                 raise ValueError(f"law {self.name!r}: the pdf is {p[i]:.6g} < 0 at x={x[i]:.17g}")
             halves = np.maximum(np.stack((x, -x)), 0.0)[:, None]  # x+ and x-
             return np.vstack(((halves**powers * p).reshape(8, x.size), p))
 
-        parts, err = integrate(f, self.support, _KERNEL_QUADRATURE, breakpoints=(0.0,))
+        try:
+            parts, err = integrate(f, self.support, _KERNEL_QUADRATURE, breakpoints=(0.0,))
+        except NumericsError as exc:
+            raise _named(exc, f"moments of law {self.name!r}") from exc
         mass = float(parts[8])
         if abs(mass - 1.0) > _MASS_TOL + err[8]:
             raise NumericsError(
@@ -346,7 +362,7 @@ class ScalarSource:
                 # p'(y) = (phi(u) - p)/(s*sq) for the shifted/scaled exponential.
                 a = ((_phi(u) - p) / ssq + y * p) / sq
         else:
-            p = _custom_kernel(self, y, q, False) if with_p else None
+            p = _custom_density(self, y, q) if with_p else None
             if cross:
                 a = _custom_kernel(self, y, q, True)
         if cross and with_p:
@@ -401,9 +417,50 @@ def _affine_moments(loc: float, scale: float, raw: tuple) -> tuple:
     )
 
 
-def _pdf_values(pdf: Callable, x: np.ndarray) -> np.ndarray:
-    """A custom law's density at the points of x, called one point at a time."""
-    return np.array([pdf(v) for v in x.tolist()], dtype=float)
+def _pdf_values(src: ScalarSource, x: np.ndarray) -> np.ndarray:
+    """A custom law's density at the points of x, its pdf called once per distinct node.
+
+    The pdf takes one point at a time.  The law keeps its values at up to
+    ``_PDF_MEMO_NODES`` distinct nodes, by the bits of the node, and calls
+    the pdf only at the nodes of x not among them, so its moments and all
+    its kernel calls share them.  Each value is the one a call at that
+    point gives: the pdf must be a function of its argument alone.
+    """
+    memo = src._pdf_memo
+    keys = np.ascontiguousarray(x, dtype=float).view(np.int64).tolist()
+    distinct = dict.fromkeys(keys)
+    new = [key for key in distinct if key not in memo]
+    if new:
+        if len(memo) + len(new) > _PDF_MEMO_NODES:  # start over, from this call's nodes
+            memo.clear()
+            new = list(distinct)
+        points = np.array(new, dtype=np.int64).view(float).tolist()
+        memo.update(zip(new, np.array([src.pdf(v) for v in points], dtype=float).tolist()))
+    values = np.fromiter(map(memo.__getitem__, keys), float, len(keys))
+    if len(memo) > _PDF_MEMO_NODES:  # this call's nodes alone
+        memo.clear()
+    return values
+
+
+def _custom_density(src: ScalarSource, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A custom law's output density at the 1-D y for the q of :func:`_custom_kernel`.
+
+    The law keeps its latest results, up to ``_DENSITY_MEMO_VALUES`` floats
+    of points and values, oldest dropped first, and a call with the bits of
+    a kept (q, y) returns a copy of the kept values: a divergence at the q
+    of an mmse just computed repeats the mmse's first pass, and often all.
+    """
+    key = (q.shape, q.tobytes(), y.tobytes())
+    memo = src._density_memo
+    for kept, p in memo:
+        if kept == key:
+            return p.copy()
+    p = _custom_kernel(src, y, q, False)
+    if y.size + p.size <= _DENSITY_MEMO_VALUES:
+        memo.append((key, p.copy()))
+        while sum(len(kept[2]) // 8 + values.size for kept, values in memo) > _DENSITY_MEMO_VALUES:
+            memo.pop(0)
+    return p
 
 
 def _runs(q: np.ndarray) -> list | None:
@@ -436,47 +493,72 @@ def _custom_kernel(src: ScalarSource, y: np.ndarray, q: np.ndarray, cross: bool)
     chunks at most 8 TAIL_WIDTH wide and ``_CHUNK_POINTS`` long.  Each
     chunk takes one vector integral over the x window its points see, the
     support cut to [y_min - TAIL_WIDTH, y_max + TAIL_WIDTH] / sqrt(q), with
-    the support ends and 0 as breakpoints, so the pdf is called once per x
-    node for the whole chunk.  The components are pdf phi for every point,
-    or (x+) pdf phi and (x-) pdf phi, whose difference is the cross
-    density.  All are nonnegative, so ``_KERNEL_QUADRATURE`` gives each
-    point relative accuracy, in the output tails and where the cross
+    the support ends and 0 as breakpoints.  The components are pdf phi for
+    every point, or (x+) pdf phi and (x-) pdf phi, whose difference is the
+    cross density.  All are nonnegative, so ``_KERNEL_QUADRATURE`` gives
+    each point relative accuracy, in the output tails and where the cross
     density changes sign.  The width cap keeps the window narrow at high
     q, where phi(y - sqrt(q) x) is a spike in x; the length cap bounds the
     (components, nodes) block of a pass.
+
+    The chunk integrals of the call run as one :func:`integrate` batch,
+    each with the values of its lone call, and each pass looks the pdf up
+    once for the nodes of every open chunk.  A failed chunk integral, the
+    first in chunk order, is raised naming the law and its q.
     """
     lo, hi = src.support
     runs = _runs(q)
     if runs is None:  # each q of a column at every point
-        pieces = [(qv, y) for qv in q[:, 0].tolist()]
+        pieces = [(qv, y, i * y.size) for i, qv in enumerate(q[:, 0].tolist())]
     else:
-        pieces = [(q[0, i], y[i:j]) for i, j in runs]
-    values = []
-    for qv, y in pieces:
+        qs = q[0].tolist()
+        pieces = [(qs[i], y[i:j], i) for i, j in runs]
+    out = np.zeros((2 if cross else 1, len(q) * y.size if runs is None else y.size))
+    chunks = []  # (q, sqrt(q), slots in out, points as a column, x window)
+    for qv, points, offset in pieces:
         sq = math.sqrt(qv)
-        order = np.argsort(y, kind="stable")
-        ends = np.searchsorted(y[order], y[order] + 8.0 * TAIL_WIDTH, side="right")
-        ends = np.minimum(ends, np.arange(y.size) + _CHUNK_POINTS)
-        out = np.zeros((2 if cross else 1, y.size))
+        order = np.argsort(points, kind="stable")
+        ends = np.searchsorted(points[order], points[order] + 8.0 * TAIL_WIDTH, side="right")
+        ends = np.minimum(ends, np.arange(points.size) + _CHUNK_POINTS)
         start = 0
-        while start < y.size:
+        while start < points.size:
             chunk = order[start : ends[start]]
             start = ends[start]
-            a = max(lo, (y[chunk[0]] - TAIL_WIDTH) / sq)
-            b = min(hi, (y[chunk[-1]] + TAIL_WIDTH) / sq)
-            if not a < b:
+            a = max(lo, (points[chunk[0]] - TAIL_WIDTH) / sq)
+            b = min(hi, (points[chunk[-1]] + TAIL_WIDTH) / sq)
+            if a < b:
+                chunks.append((qv, sq, offset + chunk, points[chunk, None], (a, b)))
+
+    def f(xs: list) -> list:
+        p = _pdf_values(src, np.concatenate(xs))
+        values, start = [], 0
+        for (_, sq, _, yc, _), x in zip(chunks, xs):
+            if not x.size:  # a closed chunk
+                values.append(None)
                 continue
+            v = _phi(yc - sq * x) * p[start : start + x.size]
+            start += x.size
+            if cross:
+                v = np.concatenate((v * np.maximum(x, 0.0), v * np.maximum(-x, 0.0)))
+            values.append(v)
+        return values
 
-            def f(x, yc=y[chunk, None], sq=sq):
-                v = _phi(yc - sq * x) * _pdf_values(src.pdf, x)
-                if cross:
-                    return np.concatenate((v * np.maximum(x, 0.0), v * np.maximum(-x, 0.0)))
-                return v
+    domains = [window for *_, window in chunks]
+    results = integrate(f, domains, _KERNEL_QUADRATURE, breakpoints=[(lo, 0.0, hi)] * len(chunks))
+    for (qv, _, slots, _, _), result in zip(chunks, results):
+        if isinstance(result, NumericsError):
+            density = "cross density" if cross else "output density"
+            raise _named(result, f"{density} of law {src.name!r} at q={qv!r}") from result
+        out[:, slots] = result.value.reshape(len(out), slots.size)
+    return (out[0] - out[1] if cross else out[0]).reshape(len(q), -1)
 
-            parts = integrate(f, (a, b), _KERNEL_QUADRATURE, breakpoints=(lo, 0.0, hi)).value
-            out[:, chunk] = parts.reshape(len(out), chunk.size)
-        values.append(out[0] - out[1] if cross else out[0])
-    return np.concatenate(values).reshape(len(q), -1)
+
+def _named(exc: NumericsError, what: str) -> NumericsError:
+    """A copy of the quadrature failure ``exc`` whose message starts with ``what``."""
+    message = f"{what}: {exc}"
+    if isinstance(exc, NonConvergence):
+        return NonConvergence(message, exc.component)
+    return type(exc)(message)
 
 
 # -- constructors ---------------------------------------------------------
@@ -528,11 +610,15 @@ def gaussian_mixture(weight, mu1, sigma1, mu2, sigma2, name: str = "mixture") ->
 def custom_source(pdf, support, name: str = "custom") -> ScalarSource:
     """Standardized law from an arbitrary density (moments by quadrature).
 
-    ``pdf`` takes one point and returns a float >= 0.  ``support`` is a
-    finite (lo, hi): a heavy-tailed density is cut where the mass outside
-    is below the 1e-9 of the mass check.  The moments and the channel
-    kernels call the pdf once per node of their quadratures in x, and a
-    kernel shares each value among a whole chunk of output points.
+    ``pdf`` takes one point and returns a float >= 0, and must be a
+    function of that point alone.  ``support`` is a finite (lo, hi): a
+    heavy-tailed density is cut where the mass outside is below the 1e-9
+    of the mass check.  The law calls the pdf once per distinct node of
+    its quadratures in x, moments and kernels together, keeping up to
+    ``_PDF_MEMO_NODES`` (8192) values, and keeps its latest output
+    densities, up to ``_DENSITY_MEMO_VALUES`` (32768) floats of points and
+    values, for kernel calls that repeat them.  A kernel shares each pdf
+    value among a whole chunk of output points.
     """
     raw = ScalarSource(kind="custom", name=name, pdf=pdf, support=tuple(support))
     return standardize(raw)

@@ -230,6 +230,64 @@ def test_batch_members_are_their_lone_calls_bit_for_bit(members, budget):
         assert member.tolist() == lone_sizes + [0] * (len(passes) - len(lone_sizes))
 
 
+def _power_family(centre, width, components, poisoned):
+    """k components y^j times a bump on a kink; with ``poisoned`` a NaN from the second pass on."""
+    passes = []
+
+    def f(y):
+        passes.append(y.size)
+        bump = np.exp(-0.5 * ((y - centre) / width) ** 2) + _laplace(y - 0.5 * centre)
+        out = np.stack([bump * y**j for j in range(components)]) if components > 1 else bump
+        if poisoned and len(passes) > 1:
+            out = np.where(y == y.max(), np.nan, out)
+        return out
+
+    return f
+
+
+_STACKED_MEMBER = st.tuples(
+    st.floats(-12.0, 0.0),  # a
+    st.floats(0.5, 30.0),  # b - a
+    st.floats(-5.0, 5.0),  # bump centre
+    st.floats(0.01, 2.0),  # bump width
+    st.integers(1, 9),  # components
+    st.integers(0, 6),  # breakpoints, so first-pass panels
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    members=st.lists(_STACKED_MEMBER, min_size=2, max_size=64),
+    poisoned=st.integers(0, 63),
+    budget=st.sampled_from((3, 12, 200)),
+)
+@example(members=[(0.0, 1.0, 0.3, 0.2, 1, 0)] * 2, poisoned=5, budget=3)
+@example(members=[(-4.0, 8.0, 0.5, 0.05, 3, 2)] * 3, poisoned=1, budget=200)
+def test_stacked_batches_keep_each_members_bits(members, poisoned, budget):
+    # every pass runs the panel rule on the stacked rows of all open
+    # members; each member's values, bounds and failures stay its lone call's,
+    # whatever its neighbours, and a member that turns NonFinite fails alone
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-16, max_subdivisions=budget)
+    specs = [
+        (
+            (a, a + length),
+            (centre, width, k, j == poisoned),
+            [a + length * (t + 1) / (n + 1) for t in range(n)],
+        )
+        for j, (a, length, centre, width, k, n) in enumerate(members)
+    ]
+    fs = [_power_family(*family) for _, family, _ in specs]
+    results = integrate(
+        lambda ys: [f(y) if y.size else None for f, y in zip(fs, ys)],
+        [domain for domain, _, _ in specs],
+        cfg,
+        breakpoints=[points for _, _, points in specs],
+    )
+    for (domain, family, points), result in zip(specs, results):
+        lone, _ = _lone(_power_family(*family), domain, cfg, points)
+        assert _outcome(result) == _outcome(lone)
+
+
 def test_batch_member_over_its_budget_fails_alone():
     cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-18, max_subdivisions=2)
     rough = lambda y: abs(y - math.pi / 7) ** 0.2  # noqa: E731

@@ -158,8 +158,12 @@ def test_custom_law_integrates_only_the_densities_it_returns(monkeypatch):
     TRIANGULAR.output_density(y, 2.0)
     assert rules == [True, False]
     rules.clear()
-    conditional_mean(ScalarChannel(TRIANGULAR, 2.0), y)
+    conditional_mean(ScalarChannel(TRIANGULAR, 2.0), y + 0.5)
     assert rules == [False, True]
+    # the law's density memo holds the p at (y, 2): only the cross density is new
+    rules.clear()
+    conditional_mean(ScalarChannel(TRIANGULAR, 2.0), y)
+    assert rules == [True]
 
 
 @pytest.mark.parametrize("q,expected", sorted(RAD_MMSE.items()))

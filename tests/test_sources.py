@@ -1,11 +1,19 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
 from mmselab import sources
-from mmselab.numerics import TAIL_WIDTH, NumericsError, integrate
+from mmselab.numerics import (
+    TAIL_WIDTH,
+    NonConvergence,
+    NumericsError,
+    QuadratureConfig,
+    integrate,
+)
 from mmselab.sources import (
     AmplitudeLaw,
     ScalarSource,
@@ -280,6 +288,111 @@ def test_negative_pdf_raises():
     with pytest.raises(ValueError, match=r"law 'lobes': the pdf is -[0-9.e-]+ < 0 at x=") as exc:
         sources.custom_source(pdf, (-b, b), name="lobes")
     assert pdf(float(str(exc.value).rpartition("x=")[2])) < 0.0
+
+
+def _bench_custom_laws():
+    # the custom laws of the benchmark's scalar-sweep, built as its workload
+    # process builds them: the pdf of bench/reference.py behind a float()
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import reference
+    finally:
+        sys.path.remove(bench)
+    return [
+        (lambda law=law: sources.custom_source(lambda x: float(law.pdf(x)), law.support, law.name))
+        for law in (reference.CUSTOM_UNIFORM, reference.CUSTOM_TRIANGULAR)
+    ]
+
+
+@pytest.mark.parametrize("make", _bench_custom_laws(), ids=("uniform", "triangular"))
+def test_custom_memos_keep_every_value_bit_for_bit(make):
+    # mmse then D at each q on one law, both memos filling as they go, give
+    # the values of a fresh law per call, whose memos start empty
+    from mmselab.scalar_channel import ScalarChannel, mmse, nongaussianity
+
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15, max_subdivisions=400)
+    shared = make()
+    for q in (0.3, 2.0, 8.0):
+        for quantity in (mmse, nongaussianity):
+            kept = quantity(ScalarChannel(shared, q), cfg)
+            assert kept.hex() == quantity(ScalarChannel(make(), q), cfg).hex(), (q, quantity)
+    assert shared._density_memo and shared._pdf_memo
+
+
+def test_custom_pdf_is_called_once_per_distinct_node(monkeypatch):
+    from mmselab.scalar_channel import ScalarChannel, mmse, nongaussianity
+
+    b = math.sqrt(6.0)
+    nodes = []
+
+    def pdf(x):
+        nodes.append(x.hex())  # the bits: -0.0 and 0.0 are two nodes
+        return max(0.0, (1.0 - abs(x) / b) / b)
+
+    tri = sources.custom_source(pdf, (-b, b), name="counted")
+    lookups = []
+    lookup = sources._pdf_values
+    monkeypatch.setattr(
+        sources, "_pdf_values", lambda src, x: lookups.append(x.size) or lookup(src, x)
+    )
+    for q in (0.5, 4.0):
+        ch = ScalarChannel(tri, q)
+        mmse(ch), nongaussianity(ch)
+    tri.cross_density(np.linspace(-3.0, 3.0, 9), 4.0)
+    assert len(nodes) == len(set(nodes)) == len(tri._pdf_memo)
+    assert sum(lookups) > 2 * len(nodes)  # the kernels met most nodes more than once
+
+
+def test_custom_memos_stay_within_their_bounds():
+    from mmselab.scalar_channel import ScalarChannel, mmse, nongaussianity
+
+    b = math.sqrt(6.0)
+    tri = sources.custom_source(lambda x: max(0.0, (1.0 - abs(x) / b) / b), (-b, b))
+    sizes = []
+    for q in np.geomspace(1e-2, 1e2, 100).tolist():
+        ch = ScalarChannel(tri, q)
+        mmse(ch), nongaussianity(ch)
+        stored = sum(len(key[2]) // 8 + p.size for key, p in tri._density_memo)
+        assert 0 < stored <= sources._DENSITY_MEMO_VALUES
+        sizes.append(len(tri._pdf_memo))
+    assert max(sizes) <= sources._PDF_MEMO_NODES
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it started over
+
+
+_SPIKE_MASS = 2.0 * (math.sqrt(2.3) + math.sqrt(1.7))
+
+
+def _spiky(x):
+    # an integrable spike at 0.3: no panel budget reaches 1e-12 on it
+    return abs(x - 0.3) ** -0.5 / _SPIKE_MASS if x != 0.3 else 0.0
+
+
+def test_custom_moment_failure_names_the_law():
+    message = r"^moments of law 'spiky': quadrature error .* \(component 8\) on \(-2, 2\)$"
+    with pytest.raises(NonConvergence, match=message) as info:
+        sources.custom_source(_spiky, (-2.0, 2.0), name="spiky")
+    assert info.value.component == 8  # the mass
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=("output", "cross"))
+def test_custom_kernel_failure_names_the_law_and_q_of_its_first_chunk(cross):
+    # moments given, so the kernels meet the spike first; 40 points make two
+    # chunks, of 32 and 8 points, and both integrals fail
+    spiky = ScalarSource(
+        kind="custom", name="spiky", pdf=_spiky, support=(-2.0, 2.0), _moments=(0.0, 1.0, 0.0, 3.0)
+    )
+    kernel = spiky.cross_density if cross else spiky.output_density
+    y = np.linspace(-1.0, 1.0, 40)
+    density = "cross density" if cross else "output density"
+    with pytest.raises(NonConvergence, match=rf"^{density} of law 'spiky' at q=2\.0: quadrature"):
+        kernel(y, 2.0)
+    failures = []
+    for part in (y, y[:32], y[32:]):
+        with pytest.raises(NonConvergence) as info:
+            kernel(part, 2.0)
+        failures.append(str(info.value))
+    assert failures[0] == failures[1] != failures[2]
 
 
 # the distinct q of a derivative stencil and of the scalar grid, as columns,
